@@ -380,15 +380,12 @@ let run_solver_kernel_benchmarks ~quick () =
    asserted bit-identical across configurations:
 
    - [stream]: many short pool-saturating solves back-to-back at
-     jobs = 4 — the serve-wave / campaign shape where the old per-call
-     domain spawn/join dominated. [speedup] compares the spawn-per-call
-     path ({!Pool.run_ephemeral}) against the persistent pool at the
-     SAME job count, so it isolates the fixed bug and is meaningful on
-     any machine; [vs_sequential] additionally needs >= jobs cores to
-     exceed 1 and is only asserted in CI (multi-core runners).
+     jobs = 4 — the serve-wave / campaign shape, where per-batch
+     dispatch overhead would show. [vs_sequential] needs >= jobs cores
+     to exceed 1.
    - [saturated]: one large CNC solve with the same 10-candidate start
-     list. Solve-dominated, so spawn overhead is invisible here — kept
-     to show exactly that.
+     list. Solve-dominated; carries the [--min-vs-sequential] floor,
+     which is only asserted in CI (multi-core runners).
    - [legacy]: the original 3-start CNC case, for continuity with
      older JSON snapshots. *)
 
@@ -423,13 +420,11 @@ type par_row = {
   par_jobs : int;
   par_solves : int;
   seq_s : float;
-  spawn_s : float;
   pool_s : float;
   par_objective : float;
   par_identical : bool;
 }
 
-let par_speedup r = r.spawn_s /. Float.max r.pool_s 1e-9
 let par_vs_sequential r = r.seq_s /. Float.max r.pool_s 1e-9
 
 let time f =
@@ -450,9 +445,9 @@ let schedule_bits (s : Static_schedule.t) =
   ( Array.map Int64.bits_of_float s.Static_schedule.end_times,
     Array.map Int64.bits_of_float s.Static_schedule.quotas )
 
-(* Runs [solves] consecutive multi-start solves in each of three modes —
-   sequential, spawn-per-call at [jobs], persistent pool at [jobs] —
-   best-of-[reps] each, and checks the final schedules bit-identical. *)
+(* Runs [solves] consecutive multi-start solves sequentially and on the
+   persistent pool at [jobs], best-of-[reps] each, and checks the final
+   schedules bit-identical. *)
 let parallel_measurement ~name ~plan ~solves ~reps () =
   let warm = saturating_warm_starts plan in
   let run jobs =
@@ -463,13 +458,8 @@ let parallel_measurement ~name ~plan ~solves ~reps () =
     Option.get !last
   in
   let seq_s, (seq_schedule, seq_stats) = best_of reps (fun () -> run 1) in
-  Pool.set_reuse false;
-  let spawn_s, _ =
-    Fun.protect ~finally:(fun () -> Pool.set_reuse true)
-      (fun () -> best_of reps (fun () -> run 4))
-  in
   let pool_s, (pool_schedule, _) = best_of reps (fun () -> run 4) in
-  { par_plan = name; par_jobs = 4; par_solves = solves; seq_s; spawn_s; pool_s;
+  { par_plan = name; par_jobs = 4; par_solves = solves; seq_s; pool_s;
     par_objective = seq_stats.Solver.objective;
     par_identical = schedule_bits seq_schedule = schedule_bits pool_schedule }
 
@@ -597,8 +587,9 @@ type huge_row = {
   huge_subs : int;
   huge_fast_s : float;
   huge_exact_s : float option;
-      (** dense reference kernels; skipped on the largest case, where
-          only the fast path is meant to run *)
+      (** the dense reference solver ({!Lepts_oracle.Oracle}); skipped
+          on the largest case, where only the fast path is meant to
+          run *)
   huge_objective : float;
   huge_identical : bool;  (** fast vs exact schedules, bit for bit;
                               vacuously true when exact is skipped *)
@@ -606,24 +597,26 @@ type huge_row = {
 
 let huge_speedup_vs_seed r = seed_acs_n8_ns /. Float.max (r.huge_fast_s *. 1e9) 1e-9
 
-(* Full ACS multi-start solves at the two largest plan sizes, fast path
-   vs the dense reference kernels. The two paths must agree bit for bit
-   (the whole point of keeping threshold-by-sort in the fast projection
-   — see DESIGN.md §12), so correctness is asserted here as well as in
-   the test suite; the n=8 fast time also feeds [--min-huge-speedup]. *)
+(* Full ACS multi-start solves at the two largest plan sizes, the
+   production solver vs the dense reference solver of the test oracle.
+   The two must agree bit for bit (the whole point of keeping
+   threshold-by-sort in the fast projection — see DESIGN.md §12), so
+   correctness is asserted here as well as in the test suite; the n=8
+   fast time also feeds [--min-huge-speedup]. *)
 let huge_measurement ~quick () =
   let reps = if quick then 1 else 2 in
-  let solve structure plan () =
-    Result.get_ok (Solver.solve_acs ~structure ~plan ~power ())
-  in
   let measure ?(exact = true) plan_lazy =
     let plan = Lazy.force plan_lazy in
     let fast_s, (fast_sched, fast_stats) =
-      best_of reps (solve Solver.Fast plan)
+      best_of reps (fun () -> Result.get_ok (Solver.solve_acs ~plan ~power ()))
     in
     let huge_exact_s, huge_identical =
       if exact then
-        let exact_s, (exact_sched, _) = best_of reps (solve Solver.Exact plan) in
+        let exact_s, (exact_sched, _) =
+          best_of reps (fun () ->
+              Result.get_ok
+                (Lepts_oracle.Oracle.solve ~mode:Objective.Average ~plan ~power ()))
+        in
         (Some exact_s, schedule_bits fast_sched = schedule_bits exact_sched)
       else (None, true)
     in
@@ -662,7 +655,7 @@ let adaptive_measurement ~quick () =
   let rounds = if quick then 120 else 300 in
   let config =
     { Lepts_robust.Adaptive.estimator = Lepts_sim.Estimator.default_config;
-      resolve_every = 10; structure = Solver.Fast }
+      resolve_every = 10 }
   in
   let sweep jobs =
     Lepts_robust.Adaptive.sweep ~rounds ~jobs ~config ~spec ~schedule
@@ -857,9 +850,7 @@ let emit_par_row oc key r =
   out "    \"jobs\": %d,\n" r.par_jobs;
   out "    \"solves\": %d,\n" r.par_solves;
   out "    \"seq_s\": %s,\n" (json_float r.seq_s);
-  out "    \"spawn_s\": %s,\n" (json_float r.spawn_s);
   out "    \"pool_s\": %s,\n" (json_float r.pool_s);
-  out "    \"speedup\": %s,\n" (json_float (par_speedup r));
   out "    \"vs_sequential\": %s,\n" (json_float (par_vs_sequential r));
   out "    \"objective\": %s,\n" (json_float r.par_objective);
   out "    \"bit_identical\": %b\n" r.par_identical;
@@ -882,7 +873,7 @@ let emit_solver_json ~path ~quick rows ~stream ~saturated
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
-  out "  \"schema\": \"lepts-bench-solver/5\",\n";
+  out "  \"schema\": \"lepts-bench-solver/6\",\n";
   out "  \"quick\": %b,\n" quick;
   out "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
   out "  \"benchmarks\": [\n";
@@ -894,9 +885,7 @@ let emit_solver_json ~path ~quick rows ~stream ~saturated
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  ],\n";
-  (* [speedup] is spawn-per-call vs persistent pool at the same job
-     count (the bug this JSON tracks — machine-independent);
-     [vs_sequential] needs >= jobs cores to exceed 1. *)
+  (* [vs_sequential] needs >= jobs cores to exceed 1. *)
   emit_par_row oc "parallel_solve" stream;
   emit_par_row oc "parallel_solve_saturated" saturated;
   out "  \"parallel_solve_legacy\": {\n";
@@ -991,10 +980,8 @@ let print_solver_kernel_rows rows =
 
 let print_par_row label r =
   Printf.printf
-    "  %s: seq %.3fs, spawn -j %d %.3fs, pool -j %d %.3fs — spawn/pool %.2fx, \
-     seq/pool %.2fx, identical: %b\n%!"
-    label r.seq_s r.par_jobs r.spawn_s r.par_jobs r.pool_s (par_speedup r)
-    (par_vs_sequential r) r.par_identical
+    "  %s: seq %.3fs, pool -j %d %.3fs — seq/pool %.2fx, identical: %b\n%!"
+    label r.seq_s r.par_jobs r.pool_s (par_vs_sequential r) r.par_identical
 
 let print_huge_row r =
   Printf.printf
@@ -1005,9 +992,8 @@ let print_huge_row r =
     | None -> "")
     (huge_speedup_vs_seed r) r.huge_identical
 
-let run_solver_json ~path ~quick ~max_telemetry_overhead_ns ~min_parallel_speedup
-    ~min_vs_sequential ~min_warm_speedup ~min_huge_speedup
-    ~min_serve_throughput () =
+let run_solver_json ~path ~quick ~max_telemetry_overhead_ns ~min_vs_sequential
+    ~min_warm_speedup ~min_huge_speedup ~min_serve_throughput () =
   let rows = run_solver_kernel_benchmarks ~quick () in
   print_solver_kernel_rows rows;
   let stream = stream_measurement ~quick () in
@@ -1081,11 +1067,6 @@ let run_solver_json ~path ~quick ~max_telemetry_overhead_ns ~min_parallel_speedu
     fail "telemetry overhead %.1f ns/inner-iteration exceeds the %.1f ns budget"
       tel_overhead budget
   | _ -> ());
-  (match min_parallel_speedup with
-  | Some floor when par_speedup stream < floor ->
-    fail "spawn-vs-pool speedup %.2fx below the %.2fx floor"
-      (par_speedup stream) floor
-  | _ -> ());
   (* Asserted on the saturated CNC solve (solve-dominated, so the
      number reflects actual parallel descent work, not dispatch). *)
   (match min_vs_sequential with
@@ -1100,7 +1081,7 @@ let run_solver_json ~path ~quick ~max_telemetry_overhead_ns ~min_parallel_speedu
       (warm_speedup continuation) floor
   | _ -> ());
   if not (huge_n8.huge_identical && huge_n16.huge_identical) then
-    fail "fast and exact solve paths disagree on a huge instance";
+    fail "the solver and the dense reference disagree on a huge instance";
   (match min_huge_speedup with
   | Some floor when huge_speedup_vs_seed huge_n8 < floor ->
     fail "huge-solve speedup %.2fx vs the recorded seed below the %.2fx floor"
@@ -1123,14 +1104,13 @@ let run_solver_json ~path ~quick ~max_telemetry_overhead_ns ~min_parallel_speedu
 
 let () =
   (* `--json PATH [--quick] [--max-telemetry-overhead-ns N]
-     [--min-parallel-speedup X] [--min-vs-sequential X]
-     [--min-warm-speedup X] [--min-huge-speedup X]
-     [--min-serve-throughput X]` runs only the
+     [--min-vs-sequential X] [--min-warm-speedup X]
+     [--min-huge-speedup X] [--min-serve-throughput X]` runs only the
      solver-kernel group and writes the machine-readable summary (the
      CI smoke step), failing when a floor is violated; no arguments
      runs the full reproduction + benchmark pipeline.
      [--min-vs-sequential] should only be set on machines with >= 4
-     cores — spawn-vs-pool, the warm floor and the huge-solve floor are
+     cores — the warm floor and the huge-solve floor are
      meaningful anywhere ([--min-huge-speedup] compares against the
      recorded pre-PR-8 seed time, so set it well below the expected
      gain to absorb machine differences). *)
@@ -1147,7 +1127,6 @@ let () =
   match json_path args with
   | Some path ->
     run_solver_json ~path ~quick ~max_telemetry_overhead_ns
-      ~min_parallel_speedup:(float_flag "--min-parallel-speedup")
       ~min_vs_sequential:(float_flag "--min-vs-sequential")
       ~min_warm_speedup:(float_flag "--min-warm-speedup")
       ~min_huge_speedup:(float_flag "--min-huge-speedup")

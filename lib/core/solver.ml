@@ -14,18 +14,6 @@ module Span = Lepts_obs.Span
 
 type error = Unschedulable | Solver_stalled of string
 
-(* Kernel selection for the structure-exploiting solve path (DESIGN.md
-   §12). Both modes run the same algorithm — scaled coordinates, the
-   same projections mathematically, the same adaptive inner budget —
-   and differ only in kernel implementation, so they produce
-   bit-identical iterates: [Exact] is the dense reference (sort-based
-   projection via [Float.compare], full forward/adjoint sweeps, dense
-   penalty and multiplier loops), [Fast] substitutes the structure
-   kernels (flat block projection with raw-compare sort, incremental
-   dirty-prefix forward sweeps, cached penalty prefix sums,
-   active-segment-pruned penalty/multiplier/adjoint loops). *)
-type structure = Exact | Fast
-
 type stats = {
   objective : float;
   max_violation : float;
@@ -156,10 +144,6 @@ let forward_scaled_range (ws : Workspace.t) ~t_max (z : Vec.t) lo frontier0 =
     frontier := e.(k)
   done
 
-(* Full forward sweep (the Exact reference). *)
-let forward_scaled (ws : Workspace.t) ~t_max (z : Vec.t) =
-  forward_scaled_range ws ~t_max z 0 0.
-
 (* Incremental forward sweep: the recursion is a prefix chain, so when
    [z] agrees with the point of the previous sweep ([ws.y_prev]) on a
    prefix — per index, both the u and the s coordinate — the derived
@@ -171,9 +155,10 @@ let forward_scaled (ws : Workspace.t) ~t_max (z : Vec.t) =
    point of the objective call just before it). Equality is by float
    value: NaN never occurs in iterates (guarded), and [y_prev] starts
    as NaN so the first sweep after workspace creation is always full.
-   Bit-identical to {!forward_scaled} because the recomputed suffix
+   Bit-identical to a full sweep because the recomputed suffix
    performs exactly the operations the full sweep would, on state the
-   full sweep would have produced. *)
+   full sweep would have produced (the dense reference in
+   [test/oracle] checks this). *)
 let forward_scaled_incr (ws : Workspace.t) ~t_max (z : Vec.t) =
   let m = ws.Workspace.m in
   let yp = ws.Workspace.y_prev in
@@ -202,8 +187,8 @@ let forward_scaled_incr (ws : Workspace.t) ~t_max (z : Vec.t) =
    objective) and dP/dg_k (from the penalty terms), accumulate
    gradients with respect to u and s in one backward sweep over the
    branches recorded by the forward sweep. [hi] truncates the sweep to
-   the last index with a nonzero sensitivity (pass [m - 1] for the
-   dense reference): above it every term is zero and the additions are
+   the last index with a nonzero sensitivity ([m - 1] gives the dense
+   sweep): above it every term is zero and the additions are
    bitwise no-ops — the accumulators are never [-0.] (they are built
    by [+.] chains from [+0.], which cannot produce [-0.] from finite
    summands of mixed sign) and the frontier adjoint entering [hi] is
@@ -224,117 +209,51 @@ let backward_scaled (ws : Workspace.t) ~hi ~de ~dg ~into_du ~into_ds =
     psi := if start_ff.(k) then dstart else 0.
   done
 
-(* In-place projection of packed [y]: each instance's quota slice onto
-   its [sum = WCEC] simplex, slacks clamped into [0, hyper]. The slices
-   partition the quota prefix, so projecting in place is equivalent to
-   the copy-out form; the exact-length gather / sort buffers per
-   instance are allocated once and reused by every call. *)
-let make_projection_ip (plan : Plan.t) ~hyper =
-  let m = Array.length plan.Plan.order in
-  let ts = plan.Plan.task_set in
-  let subs = plan.Plan.instance_subs in
-  let buffers =
-    Array.map
-      (Array.map (fun idxs ->
-           (Array.make (Array.length idxs) 0., Array.make (Array.length idxs) 0.)))
-      subs
-  in
-  fun (y : Vec.t) ->
-    for i = 0 to Array.length subs - 1 do
-      let wcec = (Task_set.task ts i).Task.wcec in
-      let per = subs.(i) in
-      for j = 0 to Array.length per - 1 do
-        let idxs = per.(j) in
-        let buf, scratch = buffers.(i).(j) in
-        let n = Array.length idxs in
-        for pos = 0 to n - 1 do
-          buf.(pos) <- y.(idxs.(pos))
-        done;
-        Projection.simplex_ip ~total:wcec ~scratch buf;
-        for pos = 0 to n - 1 do
-          y.(idxs.(pos)) <- buf.(pos)
-        done
-      done
-    done;
-    for k = m to (2 * m) - 1 do
-      y.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper y.(k)
-    done
-
-(* Scaled-coordinate projection: each instance's u-slice onto its
-   [sum = t_max * WCEC] simplex, slacks clamped into [0, hyper].
-   [Exact] walks the nested instance map with exact-length buffers and
-   the [Float.compare] sort ({!Projection.simplex_ip}) — the bit-
-   identity reference. [Fast] drives {!Projection.simplex_fast_ip}
-   from the workspace's flat block index with two shared max-length
-   buffers, inlining singleton blocks (most blocks, on realistic
-   plans). The two produce bit-identical output: same threshold
-   arithmetic over the same descending value sequence (see
-   {!Projection.simplex_fast_ip}), and the singleton inline is the
-   one-element threshold unfolded. *)
-let make_projection_scaled (ws : Workspace.t) ~t_max ~hyper ~structure =
+(* In-place projection of a packed point: each instance's u-slice onto
+   its [sum = t_max * WCEC] simplex, slacks clamped into [0, hyper].
+   Drives {!Projection.simplex_fast_ip} from the workspace's flat block
+   index with its two shared max-length buffers, inlining singleton
+   blocks (most blocks, on realistic plans) as the one-element
+   threshold unfolded. Bit-identical to projecting each instance's
+   exact-length slice with {!Projection.simplex_ip}: same threshold
+   arithmetic over the same descending value sequence, and the blocks
+   are disjoint, so their order does not matter. [t_max = 1.] projects
+   in quota units ([1. *. wcec] is exact), which is how warm seeds are
+   re-projected. *)
+let make_projection (ws : Workspace.t) ~t_max ~hyper =
   let plan = ws.Workspace.plan in
   let m = ws.Workspace.m in
   let ts = plan.Plan.task_set in
-  match structure with
-  | Exact ->
-    let subs = plan.Plan.instance_subs in
-    let buffers =
-      Array.map
-        (Array.map (fun idxs ->
-             (Array.make (Array.length idxs) 0., Array.make (Array.length idxs) 0.)))
-        subs
-    in
-    fun (z : Vec.t) ->
-      for i = 0 to Array.length subs - 1 do
-        let total = t_max *. (Task_set.task ts i).Task.wcec in
-        let per = subs.(i) in
-        for j = 0 to Array.length per - 1 do
-          let idxs = per.(j) in
-          let buf, scratch = buffers.(i).(j) in
-          let n = Array.length idxs in
-          for pos = 0 to n - 1 do
-            buf.(pos) <- z.(idxs.(pos))
-          done;
-          Projection.simplex_ip ~total ~scratch buf;
-          for pos = 0 to n - 1 do
-            z.(idxs.(pos)) <- buf.(pos)
-          done
+  let n_blocks = ws.Workspace.n_blocks in
+  let off = ws.Workspace.blk_off and idx = ws.Workspace.blk_idx in
+  let buf = ws.Workspace.blk_buf and scratch = ws.Workspace.blk_scratch in
+  let totals =
+    Array.init n_blocks (fun b ->
+        t_max *. (Task_set.task ts ws.Workspace.blk_task.(b)).Task.wcec)
+  in
+  fun (z : Vec.t) ->
+    for b = 0 to n_blocks - 1 do
+      let lo = off.(b) in
+      let n = off.(b + 1) - lo in
+      let total = totals.(b) in
+      if n = 1 then begin
+        let k = idx.(lo) in
+        let v = z.(k) in
+        z.(k) <- fmax 0. (v -. (v -. total))
+      end
+      else begin
+        for pos = 0 to n - 1 do
+          buf.(pos) <- z.(idx.(lo + pos))
+        done;
+        Projection.simplex_fast_ip ~total ~scratch ~n buf;
+        for pos = 0 to n - 1 do
+          z.(idx.(lo + pos)) <- buf.(pos)
         done
-      done;
-      for k = m to (2 * m) - 1 do
-        z.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper z.(k)
-      done
-  | Fast ->
-    let n_blocks = ws.Workspace.n_blocks in
-    let off = ws.Workspace.blk_off and idx = ws.Workspace.blk_idx in
-    let buf = ws.Workspace.blk_buf and scratch = ws.Workspace.blk_scratch in
-    let totals =
-      Array.init n_blocks (fun b ->
-          t_max *. (Task_set.task ts ws.Workspace.blk_task.(b)).Task.wcec)
-    in
-    fun (z : Vec.t) ->
-      for b = 0 to n_blocks - 1 do
-        let lo = off.(b) in
-        let n = off.(b + 1) - lo in
-        let total = totals.(b) in
-        if n = 1 then begin
-          let k = idx.(lo) in
-          let v = z.(k) in
-          z.(k) <- fmax 0. (v -. (v -. total))
-        end
-        else begin
-          for pos = 0 to n - 1 do
-            buf.(pos) <- z.(idx.(lo + pos))
-          done;
-          Projection.simplex_fast_ip ~total ~scratch ~n buf;
-          for pos = 0 to n - 1 do
-            z.(idx.(lo + pos)) <- buf.(pos)
-          done
-        end
-      done;
-      for k = m to (2 * m) - 1 do
-        z.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper z.(k)
-      done
+      end
+    done;
+    for k = m to (2 * m) - 1 do
+      z.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper z.(k)
+    done
 
 (* Final feasibility repair: walk the total order once, capping each
    quota to what fits before its boundary at maximum speed (moving any
@@ -413,14 +332,13 @@ let slacks_for (plan : Plan.t) ~t_max ~e ~q =
    their mean runtime energy (a single ACEC or WCEC scenario for the
    deterministic modes, a Monte-Carlo sample for the stochastic
    extension). *)
-let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
-    ~totals_list ~(plan : Plan.t) ~power ~y0 () =
-    let m = Array.length plan.Plan.order in
+let solve_from ?deadline ?telemetry ~max_outer ~max_inner ~totals_list
+    ~(ws : Workspace.t) ~power ~y0 () =
+    let plan = ws.Workspace.plan in
+    let m = ws.Workspace.m in
     let t_max = t_at_vmax power in
     let hyper = Plan.hyper_period plan in
     let scenario_count = float_of_int (List.length totals_list) in
-    let ws = Workspace.create plan in
-    let fast = structure = Fast in
     (* The accumulation closures below are built once per solve and
        capture only the workspace, so the hot path — [lag] and
        [lag_grad_into], called once per inner iteration — allocates
@@ -447,17 +365,9 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
         ws.Workspace.dq.(k) <- ws.Workspace.dq.(k) +. (ws.Workspace.dq_i.(k) /. scenario_count)
       done
     in
-    (* Forward sweep dispatch: the Fast path goes through the
-       dirty-prefix bookkeeping and reports the first recomputed index
-       (consumed by the penalty prefix cache below); the Exact path
-       always sweeps fully and never touches the incremental state. *)
-    let forward z =
-      if fast then forward_scaled_incr ws ~t_max z
-      else begin
-        forward_scaled ws ~t_max z;
-        0
-      end
-    in
+    (* The forward sweep reports the first recomputed index, consumed
+       by the penalty prefix cache below. *)
+    let forward z = forward_scaled_incr ws ~t_max z in
     let energy_of z =
       let (_ : int) = forward z in
       mean_energy_ws ()
@@ -474,7 +384,7 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
         (Array.init (2 * m) (fun k ->
              if k < m then t_max *. y0.(k) else y0.(k)))
     in
-    let project_ip = make_projection_scaled ws ~t_max ~hyper ~structure in
+    let project_ip = make_projection ws ~t_max ~hyper in
     let inner_total = ref 0 in
     let outer = ref 0 in
     let violation = ref infinity in
@@ -514,43 +424,30 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
         let d = forward z in
         let energy = mean_energy_ws () in
         let g = ws.Workspace.g in
-        if fast then begin
-          (* Penalty via cached ascending prefix sums: terms over the
-             clean prefix [0, pstart) were accumulated by a previous
-             evaluation at identical (g, lambda, mu), so resuming the
-             accumulator from [pen_prefix.(pstart)] reproduces the
-             dense left-to-right sum bit for bit. Inactive segments
-             (zero multiplier, satisfied constraint) contribute
-             [-. 0.], a bitwise no-op on any accumulator value, so
-             the active-set branch skips them entirely. *)
-          let pp = ws.Workspace.pen_prefix in
-          let pstart = if ws.Workspace.pen_valid then d else 0 in
-          let penalty = ref (if pstart = 0 then 0. else pp.(pstart)) in
-          for k = pstart to m - 1 do
-            if lambda.(k) > 0. || g.(k) > 0. then begin
-              let t = lambda.(k) +. (mu_now *. g.(k)) in
-              if t > 0. then
-                penalty :=
-                  !penalty
-                  +. (((t *. t) -. (lambda.(k) *. lambda.(k))) /. (2. *. mu_now))
-              else penalty := !penalty -. (lambda.(k) *. lambda.(k) /. (2. *. mu_now))
-            end;
-            pp.(k + 1) <- !penalty
-          done;
-          ws.Workspace.pen_valid <- true;
-          energy +. !penalty
-        end
-        else begin
-          let penalty = ref 0. in
-          for k = 0 to m - 1 do
+        (* Penalty via cached ascending prefix sums: terms over the
+           clean prefix [0, pstart) were accumulated by a previous
+           evaluation at identical (g, lambda, mu), so resuming the
+           accumulator from [pen_prefix.(pstart)] reproduces the dense
+           left-to-right sum bit for bit. Inactive segments (zero
+           multiplier, satisfied constraint) contribute [-. 0.], a
+           bitwise no-op on any accumulator value, so the active-set
+           branch skips them entirely. *)
+        let pp = ws.Workspace.pen_prefix in
+        let pstart = if ws.Workspace.pen_valid then d else 0 in
+        let penalty = ref (if pstart = 0 then 0. else pp.(pstart)) in
+        for k = pstart to m - 1 do
+          if lambda.(k) > 0. || g.(k) > 0. then begin
             let t = lambda.(k) +. (mu_now *. g.(k)) in
             if t > 0. then
               penalty :=
-                !penalty +. (((t *. t) -. (lambda.(k) *. lambda.(k))) /. (2. *. mu_now))
+                !penalty
+                +. (((t *. t) -. (lambda.(k) *. lambda.(k))) /. (2. *. mu_now))
             else penalty := !penalty -. (lambda.(k) *. lambda.(k) /. (2. *. mu_now))
-          done;
-          energy +. !penalty
-        end
+          end;
+          pp.(k + 1) <- !penalty
+        done;
+        ws.Workspace.pen_valid <- true;
+        energy +. !penalty
       in
       let lag_grad_analytic_into z ~into =
         let (_ : int) = forward z in
@@ -571,34 +468,25 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
           dq.(k) <- dq.(k) /. t_max
         done;
         let g = ws.Workspace.g in
-        if fast then
-          (* Inactive segments have zero penalty slope; write the zero
-             without computing the test value. Bit-identical: on such
-             segments [t <= 0] forces the dense branch to write [0.]
-             too. *)
-          for k = 0 to m - 1 do
-            if lambda.(k) > 0. || g.(k) > 0. then begin
-              let t = lambda.(k) +. (mu_now *. g.(k)) in
-              dg.(k) <- (if t > 0. then t else 0.)
-            end
-            else dg.(k) <- 0.
-          done
-        else
-          for k = 0 to m - 1 do
+        (* Inactive segments have zero penalty slope; write the zero
+           without computing the test value. Bit-identical: on such
+           segments [t <= 0] forces the dense form [max t 0] to [0.]
+           too. *)
+        for k = 0 to m - 1 do
+          if lambda.(k) > 0. || g.(k) > 0. then begin
             let t = lambda.(k) +. (mu_now *. g.(k)) in
             dg.(k) <- (if t > 0. then t else 0.)
-          done;
-        (* Truncate the adjoint sweep to the last nonzero sensitivity
-           (Fast); the skipped suffix only adds exact zeros. *)
-        let hi =
-          if fast then begin
-            let h = ref (m - 1) in
-            while !h >= 0 && de.(!h) = 0. && dg.(!h) = 0. do
-              decr h
-            done;
-            !h
           end
-          else m - 1
+          else dg.(k) <- 0.
+        done;
+        (* Truncate the adjoint sweep to the last nonzero sensitivity;
+           the skipped suffix only adds exact zeros. *)
+        let hi =
+          let h = ref (m - 1) in
+          while !h >= 0 && de.(!h) = 0. && dg.(!h) = 0. do
+            decr h
+          done;
+          !h
         in
         backward_scaled ws ~hi ~de ~dg ~into_du:dq ~into_ds:ds;
         Array.blit dq 0 into 0 m;
@@ -612,9 +500,7 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
          few rounds — they deserve a real descent — while later
          rounds only track the multiplier updates, which small fixed
          budgets follow within tolerance (validated against
-         per-instance budget sweeps; see DESIGN.md §12). Identical
-         for both structures, so it does not affect Exact/Fast
-         parity. *)
+         per-instance budget sweeps; see DESIGN.md §12). *)
       let inner_budget =
         if !outer <= 3 then min max_inner 300 else min max_inner 60
       in
@@ -630,11 +516,11 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
       violation := 0.;
       (* The multiplier update is a no-op on inactive segments
          ([fmax 0.] of a non-positive value writes back the [+0.]
-         already there), so Fast skips the arithmetic; the violation
-         max must still scan every constraint. *)
+         already there), so it skips the arithmetic; the violation max
+         must still scan every constraint. *)
       for k = 0 to m - 1 do
         violation := fmax !violation g.(k);
-        if (not fast) || lambda.(k) > 0. || g.(k) > 0. then
+        if lambda.(k) > 0. || g.(k) > 0. then
           lambda.(k) <- fmax 0. (lambda.(k) +. (mu_now *. g.(k)))
       done;
       Log.debug (fun f ->
@@ -705,7 +591,7 @@ let solve_from ?deadline ?telemetry ?(structure = Fast) ~max_outer ~max_inner
    indexed by start, and the reduction below scans them in start order
    with a strict-improvement test — so the pick is the same schedule
    for every [jobs] value. *)
-let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ?structure ~max_outer
+let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ~max_outer
     ~max_inner ~warm_starts ~totals_list ~(plan : Plan.t) ~power () =
   match initial_point ~plan ~power with
   | Error _ as err -> err
@@ -737,8 +623,9 @@ let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ?structure ~max_outer
                 Option.map (fun s -> Telemetry.start_slot s start) telemetry
               in
               try
-                solve_from ?deadline ?telemetry ?structure ~max_outer ~max_inner
-                  ~totals_list ~plan ~power ~y0:candidates.(start) ()
+                solve_from ?deadline ?telemetry ~max_outer ~max_inner
+                  ~totals_list ~ws:(Workspace.create plan) ~power
+                  ~y0:candidates.(start) ()
               with Lepts_optim.Guard.Non_finite what ->
                 Error
                   (Solver_stalled
@@ -773,7 +660,7 @@ let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ?structure ~max_outer
       Error
         (Solver_stalled ("no start point produced a feasible schedule" ^ detail)))
 
-let solve ?wall_budget ?telemetry ?jobs ?structure ?(max_outer = 30)
+let solve ?wall_budget ?telemetry ?jobs ?(max_outer = 30)
     ?(max_inner = 2000) ?(warm_starts = []) ~mode ~(plan : Plan.t) ~power () =
   let span_name =
     match mode with
@@ -782,10 +669,10 @@ let solve ?wall_budget ?telemetry ?jobs ?structure ?(max_outer = 30)
   in
   Span.with_ ~name:span_name (fun () ->
       let totals_list = [ Objective.instance_totals mode plan ] in
-      solve_multi_start ?wall_budget ?telemetry ?jobs ?structure ~max_outer
+      solve_multi_start ?wall_budget ?telemetry ?jobs ~max_outer
         ~max_inner ~warm_starts ~totals_list ~plan ~power ())
 
-let solve_stochastic ?telemetry ?jobs ?structure ?(max_outer = 30)
+let solve_stochastic ?telemetry ?jobs ?(max_outer = 30)
     ?(max_inner = 2000) ?(warm_starts = []) ?(scenarios = 16) ?(seed = 1)
     ~(plan : Plan.t) ~power () =
   if scenarios <= 0 then invalid_arg "Solver.solve_stochastic: scenarios";
@@ -804,17 +691,17 @@ let solve_stochastic ?telemetry ?jobs ?structure ?(max_outer = 30)
   in
   let totals_list = List.init scenarios (fun _ -> sample ()) in
   Span.with_ ~name:"solve:stochastic" (fun () ->
-      solve_multi_start ?telemetry ?jobs ?structure ~max_outer ~max_inner
+      solve_multi_start ?telemetry ?jobs ~max_outer ~max_inner
         ~warm_starts ~totals_list ~plan ~power ())
 
-let solve_acs ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
+let solve_acs ?wall_budget ?telemetry ?jobs ?max_outer ?max_inner
     ?warm_starts ~plan ~power () =
-  solve ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
+  solve ?wall_budget ?telemetry ?jobs ?max_outer ?max_inner
     ?warm_starts ~mode:Objective.Average ~plan ~power ()
 
-let solve_wcs ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
+let solve_wcs ?wall_budget ?telemetry ?jobs ?max_outer ?max_inner
     ?warm_starts ~plan ~power () =
-  solve ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
+  solve ?wall_budget ?telemetry ?jobs ?max_outer ?max_inner
     ?warm_starts ~mode:Objective.Worst ~plan ~power ()
 
 (* --- Warm-start continuation and incremental re-solve ------------------- *)
@@ -876,7 +763,7 @@ let quota_sums_match ~(plan : Plan.t) (prev : Static_schedule.t) =
    (fresh multipliers, one more projection); the threshold keeps the
    seed in that case, so re-solving a converged instance returns it
    bit-identically and a warm solve is never worse than its seed. *)
-let continue_from ?deadline ?telemetry ?structure ~max_outer ~max_inner
+let continue_from ?deadline ?telemetry ~max_outer ~max_inner
     ~improvement_rel ~totals_list ~(plan : Plan.t) ~power
     ~(prev : Static_schedule.t) () =
   let m = Array.length plan.Plan.order in
@@ -894,10 +781,12 @@ let continue_from ?deadline ?telemetry ?structure ~max_outer ~max_inner
   (* Seed point: previous quotas re-projected onto the current
      per-instance simplexes, end-times clamped into the current
      windows, slacks re-derived to realise those end-times under the
-     frontier recursion. *)
+     frontier recursion. The re-projection runs in quota units
+     ([t_max = 1.]) on the workspace the continuation descent then
+     reuses. *)
+  let ws = Workspace.create plan in
   let y0 = Array.append (Array.copy prev_q) (Array.make m 0.) in
-  let project_ip = make_projection_ip plan ~hyper in
-  project_ip y0;
+  make_projection ws ~t_max:1. ~hyper y0;
   let e_seed =
     Array.mapi
       (fun k e ->
@@ -929,8 +818,8 @@ let continue_from ?deadline ?telemetry ?structure ~max_outer ~max_inner
   in
   let continued =
     try
-      solve_from ?deadline ?telemetry ?structure ~max_outer ~max_inner
-        ~totals_list ~plan ~power ~y0 ()
+      solve_from ?deadline ?telemetry ~max_outer ~max_inner ~totals_list ~ws
+        ~power ~y0 ()
     with Lepts_optim.Guard.Non_finite what ->
       Error (Solver_stalled (Printf.sprintf "non-finite evaluation (%s)" what))
   in
@@ -943,12 +832,12 @@ let continue_from ?deadline ?telemetry ?structure ~max_outer ~max_inner
   | Ok _, Error _ -> baseline
   | (Error _ as err), Error _ -> err
 
-let solve_warm ?wall_budget ?telemetry ?jobs ?structure ?(max_outer = 30)
+let solve_warm ?wall_budget ?telemetry ?jobs ?(max_outer = 30)
     ?(max_inner = 2000) ?(improvement_rel = 1e-6) ~mode
     ~(prev : Static_schedule.t) ~(plan : Plan.t) ~power () =
   if not (structurally_compatible ~plan prev) then
     (* Nothing to continue from: full cold multi-start. *)
-    solve ?wall_budget ?telemetry ?jobs ?structure ~max_outer ~max_inner ~mode
+    solve ?wall_budget ?telemetry ?jobs ~max_outer ~max_inner ~mode
       ~plan ~power ()
   else
     Span.with_ ~name:"solve:warm" (fun () ->
@@ -960,7 +849,7 @@ let solve_warm ?wall_budget ?telemetry ?jobs ?structure ?(max_outer = 30)
         Option.iter (fun s -> Telemetry.init_starts s ~n:1) telemetry;
         let slot = Option.map (fun s -> Telemetry.start_slot s 0) telemetry in
         let result =
-          continue_from ?deadline ?telemetry:slot ?structure ~max_outer
+          continue_from ?deadline ?telemetry:slot ~max_outer
             ~max_inner ~improvement_rel ~totals_list ~plan ~power ~prev ()
         in
         Metrics.observe h_solve_seconds (now () -. t0);
@@ -969,13 +858,13 @@ let solve_warm ?wall_budget ?telemetry ?jobs ?structure ?(max_outer = 30)
         | Ok _ -> ());
         result)
 
-let resolve_incremental ?wall_budget ?telemetry ?jobs ?structure ?max_outer
+let resolve_incremental ?wall_budget ?telemetry ?jobs ?max_outer
     ?max_inner ?improvement_rel ~mode ~(prev : Static_schedule.t)
     ~(plan : Plan.t) ~power () =
   if structurally_compatible ~plan prev then
     (* Only workloads (ACEC / WCEC values) changed: one continuation
        descent from the previous solution, never worse than the seed. *)
-    solve_warm ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
+    solve_warm ?wall_budget ?telemetry ?jobs ?max_outer ?max_inner
       ?improvement_rel ~mode ~prev ~plan ~power ()
   else if
     Array.length prev.Static_schedule.end_times = Array.length plan.Plan.order
@@ -983,11 +872,11 @@ let resolve_incremental ?wall_budget ?telemetry ?jobs ?structure ?max_outer
     (* Same order length but shifted windows (e.g. one task's period or
        deadline changed): the previous point still carries information,
        so feed it to the multi-start as an extra warm start. *)
-    solve ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner
+    solve ?wall_budget ?telemetry ?jobs ?max_outer ?max_inner
       ~warm_starts:
         [ (prev.Static_schedule.end_times, prev.Static_schedule.quotas) ]
       ~mode ~plan ~power ()
   else
     (* Structure changed (task added/removed): cold solve. *)
-    solve ?wall_budget ?telemetry ?jobs ?structure ?max_outer ?max_inner ~mode
+    solve ?wall_budget ?telemetry ?jobs ?max_outer ?max_inner ~mode
       ~plan ~power ()

@@ -30,22 +30,6 @@ type error =
   | Unschedulable  (** the task set misses a deadline even at v_max *)
   | Solver_stalled of string  (** the NLP did not reach feasibility *)
 
-type structure =
-  | Exact
-      (** dense reference kernels: sort-based simplex projection via
-          [Float.compare], full forward/adjoint sweeps every
-          evaluation, dense penalty and multiplier loops *)
-  | Fast
-      (** structure-exploiting kernels (the default): flat per-instance
-          block projection with a raw-compare sort, incremental
-          dirty-prefix forward sweeps, cached penalty prefix sums, and
-          active-segment pruning of the penalty, multiplier and
-          adjoint loops. Runs the same algorithm as [Exact] — the two
-          differ only in kernel implementation and produce
-          bit-identical schedules (asserted by the property tests);
-          [Exact] exists as the auditable reference and CLI escape
-          hatch ([--exact-solve]). See DESIGN.md §12. *)
-
 type stats = {
   objective : float;  (** energy at the solution, in model units *)
   max_violation : float;  (** residual capacity violation before repair *)
@@ -76,7 +60,6 @@ val solve :
   ?wall_budget:float ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
   ?max_inner:int ->
   ?warm_starts:(float array * float array) list ->
@@ -126,7 +109,6 @@ val solve_acs :
   ?wall_budget:float ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
   ?max_inner:int ->
   ?warm_starts:(float array * float array) list ->
@@ -140,7 +122,6 @@ val solve_wcs :
   ?wall_budget:float ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
   ?max_inner:int ->
   ?warm_starts:(float array * float array) list ->
@@ -154,7 +135,6 @@ val solve_warm :
   ?wall_budget:float ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
   ?max_inner:int ->
   ?improvement_rel:float ->
@@ -201,7 +181,6 @@ val resolve_incremental :
   ?wall_budget:float ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
   ?max_inner:int ->
   ?improvement_rel:float ->
@@ -224,7 +203,6 @@ val resolve_incremental :
 val solve_stochastic :
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
-  ?structure:structure ->
   ?max_outer:int ->
   ?max_inner:int ->
   ?warm_starts:(float array * float array) list ->

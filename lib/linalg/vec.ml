@@ -1,8 +1,6 @@
 type t = float array
 
-let create n x = Array.make n x
 let zeros n = Array.make n 0.
-let of_list = Array.of_list
 let copy = Array.copy
 let dim = Array.length
 
@@ -10,16 +8,6 @@ let check_dims name a b =
   if Array.length a <> Array.length b then
     invalid_arg (Printf.sprintf "Vec.%s: dimension mismatch (%d vs %d)" name
                    (Array.length a) (Array.length b))
-
-let add a b =
-  check_dims "add" a b;
-  Array.mapi (fun i x -> x +. b.(i)) a
-
-let sub a b =
-  check_dims "sub" a b;
-  Array.mapi (fun i x -> x -. b.(i)) a
-
-let scale s a = Array.map (fun x -> s *. x) a
 
 let axpy a x y =
   check_dims "axpy" x y;
@@ -56,34 +44,3 @@ let dot a b =
 let norm2 a = sqrt (dot a a)
 
 let norm_inf a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. a
-
-let dist2 a b =
-  check_dims "dist2" a b;
-  let acc = ref 0. in
-  for i = 0 to Array.length a - 1 do
-    let d = a.(i) -. b.(i) in
-    acc := !acc +. (d *. d)
-  done;
-  sqrt !acc
-
-let map = Array.map
-
-let map2 f a b =
-  check_dims "map2" a b;
-  Array.mapi (fun i x -> f x b.(i)) a
-
-let for_all2 f a b =
-  check_dims "for_all2" a b;
-  let rec go i = i >= Array.length a || (f a.(i) b.(i) && go (i + 1)) in
-  go 0
-
-let max_elt a =
-  if Array.length a = 0 then invalid_arg "Vec.max_elt: empty vector";
-  Array.fold_left Float.max a.(0) a
-
-let concat parts = Array.concat parts
-
-let pp ppf a =
-  Format.fprintf ppf "[@[";
-  Array.iteri (fun i x -> Format.fprintf ppf "%s%g" (if i = 0 then "" else ";@ ") x) a;
-  Format.fprintf ppf "@]]"

@@ -1,20 +1,15 @@
 (** Dense float vectors.
 
     Thin wrappers over [float array] used by the optimizer. Operations
-    ending in [_ip] mutate their first argument in place; all others
-    allocate. Dimension mismatches raise [Invalid_argument]. *)
+    ending in [_ip] or [_into] write into a caller-given vector; the
+    others allocate. Dimension mismatches raise [Invalid_argument]. *)
 
 type t = float array
 
-val create : int -> float -> t
 val zeros : int -> t
-val of_list : float list -> t
 val copy : t -> t
 val dim : t -> int
 
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
 val axpy : float -> t -> t -> t
 (** [axpy a x y] is [a*x + y]. *)
 
@@ -29,20 +24,10 @@ val axpy_into : float -> t -> t -> into:t -> unit
 
 val sub_into : t -> t -> into:t -> unit
 (** [sub_into a b ~into] writes [a - b] into [into] without
-    allocating; bit-identical to {!sub}. [into] may alias [a] or
-    [b]. *)
+    allocating. [into] may alias [a] or [b]. *)
 
 val dot : t -> t -> float
 val norm2 : t -> float
 (** Euclidean norm. *)
 
 val norm_inf : t -> float
-val dist2 : t -> t -> float
-(** Euclidean distance between two vectors. *)
-
-val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
-val for_all2 : (float -> float -> bool) -> t -> t -> bool
-val max_elt : t -> float
-val concat : t list -> t
-val pp : Format.formatter -> t -> unit

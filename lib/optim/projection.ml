@@ -161,7 +161,7 @@ let simplex_fast_ip ~total ~scratch ~n (x : float array) =
    passes until the active set is consistent. The float result agrees
    with {!simplex_ip} to summation-order rounding (ulps, asserted at
    1e-12 relative by the property tests) but is NOT bit-identical —
-   which is why the solver's default fast path keeps threshold-by-sort
+   which is why the solver keeps threshold-by-sort
    (see DESIGN.md §12) and this kernel serves huge unpinned blocks. *)
 let simplex_condat_ip ~total ~scratch ~n (x : float array) =
   if total < 0. then invalid_arg "Projection.simplex_condat_ip: negative total";

@@ -35,7 +35,7 @@ val simplex_condat_ip :
     {!simplex_ip} but accumulates it in a different order, so the
     result agrees to rounding (ulps; the property tests pin 1e-12
     relative agreement componentwise) without being bit-identical —
-    see DESIGN.md §12 for why the solver's default fast path keeps the
+    see DESIGN.md §12 for why the solver keeps the
     sort-based threshold. Requires [total >= 0.], [n >= 1], NaN-free
     input, and [Array.length scratch >= n]. *)
 

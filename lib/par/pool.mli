@@ -80,19 +80,6 @@ val run : jobs:int -> n:int -> f:(int -> 'a) -> 'a array * stats
     order, touching no pool. An exception raised by [f] is re-raised
     on the caller after all workers have drained. *)
 
-val run_ephemeral : jobs:int -> n:int -> f:(int -> 'a) -> 'a array * stats
-(** The pre-pool behaviour: spawn [jobs - 1] fresh domains for this
-    one call and join them before returning. Same results and the same
-    validation as {!run}; kept as the measurable baseline for the
-    spawn-per-call overhead the persistent pool removes (see the bench
-    [parallel_solve] section). *)
-
-val set_reuse : bool -> unit
-(** Benchmark/test hook, default [true]: [set_reuse false] makes
-    {!run} take the {!run_ephemeral} path so higher-level workloads
-    can be timed with and without pool reuse. Not for production
-    use. *)
-
 (** {2 Reporting} *)
 
 val throughput : stats -> float

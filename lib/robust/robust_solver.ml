@@ -125,8 +125,8 @@ let attempt_rm ~plan ~power =
         (Printf.sprintf "canonical RM schedule failed validation (%s)"
            (violations_string vs)))
 
-let solve ?(config = default_config) ?(skip_acs = false) ?prev ?structure
-    ?telemetry ~plan ~power () =
+let solve ?(config = default_config) ?(skip_acs = false) ?prev ?telemetry ~plan
+    ~power () =
   let failures = ref [] in
   let run ?budget stage attempt =
     Metrics.incr (m_attempts stage);
@@ -196,11 +196,11 @@ let solve ?(config = default_config) ?(skip_acs = false) ?prev ?structure
                  compatible. *)
               match prev with
               | Some prev ->
-                Solver.resolve_incremental ?wall_budget ?structure
+                Solver.resolve_incremental ?wall_budget
                   ?telemetry:(sink "pipeline:acs") ~max_outer ~max_inner
                   ~mode:Lepts_core.Objective.Average ~prev ~plan ~power ()
               | None ->
-                Solver.solve_acs ?wall_budget ?structure
+                Solver.solve_acs ?wall_budget
                   ?telemetry:(sink "pipeline:acs") ~max_outer ~max_inner ~plan
                   ~power ()))
   in
@@ -211,7 +211,7 @@ let solve ?(config = default_config) ?(skip_acs = false) ?prev ?structure
            fun () ->
              attempt_nlp ~budget:config.wcs
                ~solve:(fun ?wall_budget ~max_outer ~max_inner () ->
-                 Solver.solve_wcs ?wall_budget ?structure
+                 Solver.solve_wcs ?wall_budget
                    ?telemetry:(sink "pipeline:wcs") ~max_outer ~max_inner
                    ~plan ~power ()) )
     <|>? (Rm_vmax, None, fun () -> attempt_rm ~plan ~power)

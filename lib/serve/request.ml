@@ -60,7 +60,7 @@ let of_json line =
     go ();
     Buffer.contents buf
   in
-  let parse_number ~field =
+  let number_token ~field =
     skip_ws ();
     let start = !pos in
     while
@@ -72,14 +72,31 @@ let of_json line =
       incr pos
     done;
     if !pos = start then err "field %S: expected a number at position %d" field start;
-    let s = String.sub line start (!pos - start) in
+    String.sub line start (!pos - start)
+  in
+  let float_of_token ~field s =
     match float_of_string_opt s with
     | Some f -> f
     | None -> err "field %S: malformed number %S" field s
   in
-  let int_of ~field v =
-    if Float.is_integer v && Float.abs v <= 1e9 then int_of_float v
-    else err "field %S: expected an integer, got %s" field (string_of_float v)
+  let parse_number ~field = float_of_token ~field (number_token ~field) in
+  (* A plain decimal literal is read exactly, so every [int] that
+     [to_json] writes parses back (through a float it would lose bits
+     above 2^53). Other numerals, such as [1e3] or [5.0], go through
+     the float and must be integral and within 1e9 in magnitude. *)
+  let parse_int ~field =
+    let s = number_token ~field in
+    let len = String.length s in
+    let first = if s.[0] = '-' || s.[0] = '+' then 1 else 0 in
+    let rec digits i = i >= len || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1)) in
+    if first < len && digits first then
+      match int_of_string_opt s with
+      | Some v -> v
+      | None -> err "field %S: integer %s out of range" field s
+    else
+      let v = float_of_token ~field s in
+      if Float.is_integer v && Float.abs v <= 1e9 then int_of_float v
+      else err "field %S: expected an integer, got %s" field (string_of_float v)
   in
   let id = ref None and tasks = ref None and ratio = ref None in
   let seed = ref None and rounds = ref None in
@@ -99,16 +116,16 @@ let of_json line =
          expect ':';
          (match key with
          | "id" -> set id ~field:key (parse_string ())
-         | "tasks" -> set tasks ~field:key (int_of ~field:key (parse_number ~field:key))
+         | "tasks" -> set tasks ~field:key (parse_int ~field:key)
          | "ratio" -> set ratio ~field:key (parse_number ~field:key)
-         | "seed" -> set seed ~field:key (int_of ~field:key (parse_number ~field:key))
+         | "seed" -> set seed ~field:key (parse_int ~field:key)
          | "rounds" ->
-           set rounds ~field:key (int_of ~field:key (parse_number ~field:key))
+           set rounds ~field:key (parse_int ~field:key)
          | "budget_ms" ->
-           set budget_ms ~field:key (int_of ~field:key (parse_number ~field:key))
+           set budget_ms ~field:key (parse_int ~field:key)
          | "acs_max_outer" ->
            set acs_max_outer ~field:key
-             (int_of ~field:key (parse_number ~field:key))
+             (parse_int ~field:key)
          | other -> err "unknown field %S" other);
          skip_ws ();
          match peek () with

@@ -3,9 +3,13 @@ module Vec = Lepts_linalg.Vec
 
 let check_float eps = Alcotest.(check (float eps))
 
+let scale s a = Array.map (fun x -> s *. x) a
+let sub a b = Array.map2 ( -. ) a b
+let dist2 a b = Vec.norm2 (sub a b)
+
 (* Classic test functions. *)
 let sphere x = Vec.dot x x
-let sphere_grad x = Vec.scale 2. x
+let sphere_grad x = scale 2. x
 
 let rosenbrock x =
   let a = 1. -. x.(0) and b = x.(1) -. (x.(0) *. x.(0)) in
@@ -15,7 +19,7 @@ let rosenbrock_grad x =
   let b = x.(1) -. (x.(0) *. x.(0)) in
   [| (-2. *. (1. -. x.(0))) -. (400. *. x.(0) *. b); 200. *. b |]
 
-let quadratic_bowl c x = Vec.dot (Vec.sub x c) (Vec.sub x c)
+let quadratic_bowl c x = Vec.dot (sub x c) (sub x c)
 
 (* --- Numdiff ------------------------------------------------------------ *)
 
@@ -64,7 +68,7 @@ let test_numdiff_guards_nan () =
 
 let test_pg_guards_nan_at_start () =
   let f _ = Float.nan in
-  let grad x = Vec.scale 2. x in
+  let grad x = scale 2. x in
   Alcotest.(check bool) "nan objective at x0 detected" true
     (raises_non_finite (fun () ->
          Projected_gradient.minimize ~f ~grad ~project:Fun.id ~x0:[| 1. |] ()))
@@ -80,57 +84,6 @@ let test_guard_passes_finite () =
     (Guard.finite ~where:"x" 3.5);
   Alcotest.(check bool) "vector passthrough" true
     (Guard.finite_vec ~where:"v" [| 1.; 2. |] = [| 1.; 2. |])
-
-(* --- Line search -------------------------------------------------------- *)
-
-let test_backtracking_accepts () =
-  let x = [| 4. |] in
-  let fx = sphere x in
-  let dir = [| -8. |] in
-  match Line_search.backtracking ~f:sphere ~x ~fx ~dir ~slope:(Vec.dot dir (sphere_grad x)) ~init:1. () with
-  | None -> Alcotest.fail "no step found"
-  | Some r ->
-    Alcotest.(check bool) "decreased" true (r.Line_search.value < fx)
-
-let test_backtracking_rejects_ascent () =
-  let x = [| 4. |] in
-  match Line_search.backtracking ~f:sphere ~x ~fx:(sphere x) ~dir:[| 8. |] ~slope:64. ~init:1. () with
-  | None -> ()
-  | Some _ -> Alcotest.fail "accepted an ascent direction"
-
-(* --- L-BFGS ------------------------------------------------------------- *)
-
-let test_lbfgs_sphere () =
-  let r = Lbfgs.minimize ~f:sphere ~grad:sphere_grad ~x0:[| 5.; -3.; 2. |] () in
-  Alcotest.(check bool) "converged" true r.Lbfgs.converged;
-  check_float 1e-10 "minimum value" 0. r.Lbfgs.value
-
-let test_lbfgs_shifted_quadratic () =
-  let c = [| 1.; 2.; 3.; 4. |] in
-  let f = quadratic_bowl c in
-  let grad x = Vec.scale 2. (Vec.sub x c) in
-  let r = Lbfgs.minimize ~f ~grad ~x0:(Vec.zeros 4) () in
-  Alcotest.(check bool) "found center" true (Vec.dist2 r.Lbfgs.x c < 1e-6)
-
-let test_lbfgs_rosenbrock () =
-  let r =
-    Lbfgs.minimize ~max_iter:2000 ~f:rosenbrock ~grad:rosenbrock_grad
-      ~x0:[| -1.2; 1. |] ()
-  in
-  Alcotest.(check bool) "reaches (1,1)" true (Vec.dist2 r.Lbfgs.x [| 1.; 1. |] < 1e-4)
-
-let test_lbfgs_already_optimal () =
-  let r = Lbfgs.minimize ~f:sphere ~grad:sphere_grad ~x0:(Vec.zeros 3) () in
-  Alcotest.(check int) "no iterations" 0 r.Lbfgs.iterations;
-  Alcotest.(check bool) "converged" true r.Lbfgs.converged
-
-let test_lbfgs_illconditioned () =
-  (* Diagonal quadratic with condition number 1e4. *)
-  let d = [| 1.; 100. |] in
-  let f x = (d.(0) *. x.(0) *. x.(0)) +. (d.(1) *. x.(1) *. x.(1)) in
-  let grad x = [| 2. *. d.(0) *. x.(0); 2. *. d.(1) *. x.(1) |] in
-  let r = Lbfgs.minimize ~max_iter:1000 ~f ~grad ~x0:[| 1.; 1. |] () in
-  check_float 1e-8 "ill-conditioned minimum" 0. r.Lbfgs.value
 
 (* --- Projections -------------------------------------------------------- *)
 
@@ -167,7 +120,7 @@ let test_simplex_projection_property () =
     let z = Array.init n (fun _ -> -.log (Float.max 1e-9 (Lepts_prng.Xoshiro256.float rng))) in
     let zs = simplex_sum z in
     let z = Array.map (fun v -> total *. v /. zs) z in
-    let inner = Vec.dot (Vec.sub x p) (Vec.sub z p) in
+    let inner = Vec.dot (sub x p) (sub z p) in
     if inner > 1e-7 then Alcotest.failf "not a projection: %g" inner
   done
 
@@ -200,21 +153,21 @@ let test_pg_box_active () =
 let test_pg_simplex () =
   (* min sum (x_i - c_i)^2 over the simplex: projection of c. *)
   let c = [| 0.9; 0.4; -0.3 |] in
-  let f x = Vec.dot (Vec.sub x c) (Vec.sub x c) in
-  let grad x = Vec.scale 2. (Vec.sub x c) in
+  let f x = Vec.dot (sub x c) (sub x c) in
+  let grad x = scale 2. (sub x c) in
   let project = Projection.simplex ~total:1. in
   let r = Projected_gradient.minimize ~f ~grad ~project ~x0:[| 0.4; 0.3; 0.3 |] () in
   let expected = Projection.simplex ~total:1. c in
   Alcotest.(check bool) "matches direct projection" true
-    (Vec.dist2 r.Projected_gradient.x expected < 1e-6)
+    (dist2 r.Projected_gradient.x expected < 1e-6)
 
 let test_pg_infeasible_start () =
   let f x = Vec.dot x x in
-  let grad x = Vec.scale 2. x in
+  let grad x = scale 2. x in
   let project = Projection.box ~lo:[| 1.; 1. |] ~hi:[| 2.; 2. |] in
   let r = Projected_gradient.minimize ~f ~grad ~project ~x0:[| -10.; 10. |] () in
   Alcotest.(check bool) "lands at corner" true
-    (Vec.dist2 r.Projected_gradient.x [| 1.; 1. |] < 1e-7)
+    (dist2 r.Projected_gradient.x [| 1.; 1. |] < 1e-7)
 
 (* --- NLP / augmented Lagrangian ------------------------------------------ *)
 
@@ -234,12 +187,12 @@ let test_al_equality_via_projection () =
   in
   let r = Augmented_lagrangian.solve problem ~x0:[| 1.; 0. |] in
   Alcotest.(check bool) "symmetric solution" true
-    (Vec.dist2 r.Augmented_lagrangian.x [| 0.5; 0.5 |] < 1e-6)
+    (dist2 r.Augmented_lagrangian.x [| 0.5; 0.5 |] < 1e-6)
 
 let test_al_inequality_active () =
   (* min x^2 + y^2  s.t. x + y >= 1  (as 1 - x - y <= 0): optimum (0.5, 0.5). *)
   let f x = Vec.dot x x in
-  let grad x = Vec.scale 2. x in
+  let grad x = scale 2. x in
   let c =
     Nlp.linear_constraint ~name:"sum>=1" ~coeffs:[ (0, -1.); (1, -1.) ] ~bound:(-1.)
   in
@@ -250,12 +203,12 @@ let test_al_inequality_active () =
   let r = Augmented_lagrangian.solve problem ~x0:[| 0.; 0. |] in
   Alcotest.(check bool) "converged" true r.Augmented_lagrangian.converged;
   Alcotest.(check bool) "KKT point" true
-    (Vec.dist2 r.Augmented_lagrangian.x [| 0.5; 0.5 |] < 1e-4)
+    (dist2 r.Augmented_lagrangian.x [| 0.5; 0.5 |] < 1e-4)
 
 let test_al_inequality_inactive () =
   (* Same objective, constraint x + y <= 10 is inactive: optimum origin. *)
   let f x = Vec.dot x x in
-  let grad x = Vec.scale 2. x in
+  let grad x = scale 2. x in
   let c = Nlp.linear_constraint ~name:"loose" ~coeffs:[ (0, 1.); (1, 1.) ] ~bound:10. in
   let problem =
     { Nlp.dim = 2; objective = f; gradient = grad; inequalities = [ c ];
@@ -324,7 +277,7 @@ let test_minimize_ws_bitwise () =
      on a projected problem that takes real iterations to solve. *)
   let c = [| 0.3; 1.4; -0.2; 0.9 |] in
   let f x = quadratic_bowl c x in
-  let grad x = Vec.scale 2. (Vec.sub x c) in
+  let grad x = scale 2. (sub x c) in
   let project x =
     let out = Array.copy x in
     let scratch = Array.make (Array.length x) 0. in
@@ -362,13 +315,6 @@ let suite =
     ("pg nan objective guard", `Quick, test_pg_guards_nan_at_start);
     ("pg nan gradient guard", `Quick, test_pg_guards_nan_gradient);
     ("guard finite passthrough", `Quick, test_guard_passes_finite);
-    ("backtracking accepts descent", `Quick, test_backtracking_accepts);
-    ("backtracking rejects ascent", `Quick, test_backtracking_rejects_ascent);
-    ("lbfgs sphere", `Quick, test_lbfgs_sphere);
-    ("lbfgs shifted quadratic", `Quick, test_lbfgs_shifted_quadratic);
-    ("lbfgs rosenbrock", `Quick, test_lbfgs_rosenbrock);
-    ("lbfgs at optimum", `Quick, test_lbfgs_already_optimal);
-    ("lbfgs ill-conditioned", `Quick, test_lbfgs_illconditioned);
     ("box projection", `Quick, test_box_projection);
     ("simplex projection basic", `Quick, test_simplex_projection_basic);
     ("simplex projection negatives", `Quick, test_simplex_projection_negative);

@@ -137,13 +137,6 @@ let test_nested_run_falls_back () =
   in
   Alcotest.(check (array int)) "nested run matches" expected got
 
-let test_run_matches_ephemeral () =
-  (* The persistent-pool run and the spawn-per-call path must agree. *)
-  let f i = (i * 31) + (i mod 7) in
-  let pooled, _ = Pool.run ~jobs:3 ~n:300 ~f in
-  let spawned, _ = Pool.run_ephemeral ~jobs:3 ~n:300 ~f in
-  Alcotest.(check (array int)) "same results" spawned pooled
-
 let suite =
   [ ("parallel matches sequential", `Quick, test_matches_sequential);
     ("exception propagates", `Quick, test_exception_propagates);
@@ -156,5 +149,4 @@ let suite =
     ("pool usable after exception", `Quick, test_pool_usable_after_exception);
     ("pool shutdown semantics", `Quick, test_pool_shutdown_semantics);
     ("busy counts work not waiting", `Quick, test_busy_counts_work_not_waiting);
-    ("nested run falls back", `Quick, test_nested_run_falls_back);
-    ("run matches ephemeral", `Quick, test_run_matches_ephemeral) ]
+    ("nested run falls back", `Quick, test_nested_run_falls_back) ]

@@ -166,9 +166,19 @@ module Request = Lepts_serve.Request
 module Cache = Lepts_serve.Cache
 module Rng = Lepts_prng.Xoshiro256
 
+(* Seeds over the whole [int] range, ends included: above 2^53 a parse
+   through a float would lose bits. *)
+let random_seed rng =
+  match Rng.int rng ~bound:8 with
+  | 0 -> max_int
+  | 1 -> min_int
+  | 2 -> Rng.int rng ~bound:1_000_000
+  | _ -> Int64.to_int (Rng.next_int64 rng)
+
 (* Random requests covering the whole wire surface: ids that need every
-   escape, defaulted and explicit fields, and ratios chosen to lose
-   bits under a naive float printer (0.1 +. 0.2, 1/3, random draws). *)
+   escape, defaulted and explicit fields, seeds across the [int] range,
+   and ratios chosen to lose bits under a naive float printer
+   (0.1 +. 0.2, 1/3, random draws). *)
 let random_request rng =
   let alphabet = "abcXYZ09 _-./\\\"\n\t" in
   let id =
@@ -184,7 +194,7 @@ let random_request rng =
       | 1 -> 0.1 +. 0.2
       | 2 -> 1. /. 3.
       | _ -> Rng.float rng);
-    seed = Rng.int rng ~bound:1_000_000;
+    seed = random_seed rng;
     rounds = Rng.int rng ~bound:50;
     budget_ms =
       (if Rng.int rng ~bound:2 = 0 then None

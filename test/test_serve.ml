@@ -117,7 +117,13 @@ let test_request_roundtrip () =
   let minimal = { r with Request.tasks = 0; ratio = 0.1; seed = 0; rounds = 0;
                   budget_ms = None; acs_max_outer = None } in
   Alcotest.(check string) "defaults omitted on the wire"
-    {|{"id":"rnd-7"}|} (Request.to_json minimal)
+    {|{"id":"rnd-7"}|} (Request.to_json minimal);
+  (* Integer fields also take integral numerals in other spellings. *)
+  match Request.of_json {|{"id": "x", "seed": 1e3, "rounds": +5, "tasks": 2.0}|} with
+  | Error msg -> Alcotest.failf "integral numerals rejected: %s" msg
+  | Ok r ->
+    Alcotest.(check (triple int int int)) "seed, rounds, tasks" (1000, 5, 2)
+      (r.Request.seed, r.Request.rounds, r.Request.tasks)
 
 let test_request_rejections_name_the_field () =
   (* One rejected line per rule; the reason must name what was wrong —
@@ -134,6 +140,8 @@ let test_request_rejections_name_the_field () =
       ({|{"id": "x", "tasks": 65}|}, "tasks");
       ({|{"id": "x", "tasks": -1}|}, "tasks");
       ({|{"id": "x", "tasks": 2.5}|}, "tasks");
+      ({|{"id": "x", "seed": 4611686018427387904}|}, "seed");
+      ({|{"id": "x", "seed": 1e12}|}, "seed");
       ({|{"id": "x", "ratio": 1.5}|}, "ratio");
       ({|{"id": "x", "ratio": -0.1}|}, "ratio");
       ({|{"id": "x", "rounds": -1}|}, "rounds");

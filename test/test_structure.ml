@@ -1,8 +1,9 @@
-(* The structure-exploiting solve path (DESIGN.md §12): the fast
-   kernels — flat block projection, incremental forward sweeps, pruned
-   penalty/multiplier/adjoint loops — must be bit-identical to the
-   dense reference kernels, at every level from a single projection to
-   a full multi-start solve. *)
+(* The structure-exploiting solve path (DESIGN.md §12): the production
+   ("fast") kernels — flat block projection, incremental forward
+   sweeps, pruned penalty/multiplier/adjoint loops — must be
+   bit-identical to the dense reference ("exact") kernels, at every
+   level from a single projection to a full multi-start solve. The
+   full-solve reference is the test-only {!Lepts_oracle.Oracle}. *)
 
 open Lepts_core
 module Plan = Lepts_preempt.Plan
@@ -128,8 +129,9 @@ let test_block_index_matches_plan () =
 
 (* --- full solves --------------------------------------------------------- *)
 
-(* Random task sets at several sizes and ratios; [max_sub_instances]
-   keeps each solve fast enough for the suite. *)
+(* Random task sets at several sizes and ratios, with
+   [max_sub_instances] keeping each solve fast enough for the suite,
+   plus the CNC ratio-0.1 plan that `lepts faults` solves by default. *)
 let solve_fixtures =
   lazy
     (let rng = Rng.create ~seed:2026 in
@@ -142,24 +144,36 @@ let solve_fixtures =
          match Lepts_workloads.Random_gen.generate config ~power ~rng with
          | Error _ -> None
          | Ok ts -> Some (Plan.expand ts))
-       [ (2, 0.2); (3, 0.5); (4, 0.2); (5, 0.3) ])
+       [ (2, 0.2); (3, 0.5); (4, 0.2); (5, 0.3) ]
+     @ [ Plan.expand (Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 ()) ])
 
 let test_fast_solve_bit_identical () =
+  let fixtures = Lazy.force solve_fixtures in
+  Alcotest.(check int) "every fixture generated" 5 (List.length fixtures);
+  (* The budget the fault campaign's robust pipeline solves with. *)
+  let { Lepts_robust.Robust_solver.max_outer; max_inner; _ } =
+    Lepts_robust.Robust_solver.default_budget
+  in
   List.iter
     (fun plan ->
       List.iter
         (fun mode ->
-          let solve structure =
-            Result.get_ok (Solver.solve ~structure ~mode ~plan ~power ())
+          let exact, exact_stats =
+            Result.get_ok
+              (Lepts_oracle.Oracle.solve ~max_outer ~max_inner ~mode ~plan ~power ())
           in
-          let exact, exact_stats = solve Solver.Exact in
-          let fast, fast_stats = solve Solver.Fast in
+          let fast, fast_stats =
+            Result.get_ok (Solver.solve ~max_outer ~max_inner ~mode ~plan ~power ())
+          in
           check_bits_arr "end-times" exact.Static_schedule.end_times
             fast.Static_schedule.end_times;
           check_bits_arr "quotas" exact.Static_schedule.quotas
             fast.Static_schedule.quotas;
           check_bits_arr "objective" [| exact_stats.Solver.objective |]
             [| fast_stats.Solver.objective |];
+          Alcotest.(check (pair int int)) "iterations"
+            (exact_stats.Solver.outer_iterations, exact_stats.Solver.inner_iterations)
+            (fast_stats.Solver.outer_iterations, fast_stats.Solver.inner_iterations);
           (* Never-worse is implied by bit-identity; stated separately so
              a future fast-path change that breaks identity still has a
              quality floor to answer to. *)
@@ -167,18 +181,23 @@ let test_fast_solve_bit_identical () =
             (fast_stats.Solver.objective
              <= exact_stats.Solver.objective +. 1e-12))
         [ Objective.Average; Objective.Worst ])
-    (Lazy.force solve_fixtures)
+    fixtures
 
 let test_warm_fast_matches_warm_exact () =
   let plan = Plan.expand (Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 ()) in
   let wcs, _ = Result.get_ok (Solver.solve_wcs ~plan ~power ()) in
-  let warm structure =
+  let exact, exact_stats =
     Result.get_ok
-      (Solver.solve_warm ~structure ~mode:Objective.Average ~prev:wcs ~plan
-         ~power ())
+      (Lepts_oracle.Oracle.solve_warm ~mode:Objective.Average ~prev:wcs ~plan ~power ())
   in
-  let exact, exact_stats = warm Solver.Exact in
-  let fast, fast_stats = warm Solver.Fast in
+  let fast, fast_stats =
+    Result.get_ok
+      (Solver.solve_warm ~mode:Objective.Average ~prev:wcs ~plan ~power ())
+  in
+  (* The continuation ran: a kept seed would not exercise the
+     re-projection or the descent. *)
+  Alcotest.(check bool) "continuation replaced the seed" true
+    (fast_stats.Solver.outer_iterations > 0);
   check_bits_arr "warm end-times" exact.Static_schedule.end_times
     fast.Static_schedule.end_times;
   check_bits_arr "warm quotas" exact.Static_schedule.quotas
@@ -191,7 +210,7 @@ let test_budgeted_fast_solve_returns () =
      iterations) must still latch: an already-expired budget returns the
      best repaired iterate instead of spinning. *)
   let plan = Plan.expand (Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 ()) in
-  match Solver.solve_acs ~wall_budget:1e-9 ~structure:Solver.Fast ~plan ~power () with
+  match Solver.solve_acs ~wall_budget:1e-9 ~plan ~power () with
   | Error e -> Alcotest.failf "budgeted fast solve failed: %a" Solver.pp_error e
   | Ok (schedule, _) ->
     Alcotest.(check bool) "feasible under expired budget" true
