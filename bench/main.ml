@@ -16,6 +16,7 @@ module Static_schedule = Lepts_core.Static_schedule
 module Objective = Lepts_core.Objective
 module Experiments = Lepts_experiments
 module Pool = Lepts_par.Pool
+module Export = Lepts_obs.Export
 
 let power = Model.ideal ~v_min:0.5 ~v_max:4. ()
 
@@ -197,7 +198,7 @@ let bench_tests () =
            let plan = Lazy.force cnc_plan in
            let _, acs = Lazy.force cnc_schedules in
            let totals = Objective.instance_totals Objective.Average plan in
-           Objective.eval_with_gradient ~plan ~power ~totals
+           Lepts_oracle.Oracle.eval_with_gradient ~plan ~power ~totals
              ~e:acs.Static_schedule.end_times ~w_hat:acs.Static_schedule.quotas))
   in
   let gradient_numdiff =
@@ -208,7 +209,7 @@ let bench_tests () =
            let totals = Objective.instance_totals Objective.Average plan in
            let m = Plan.size plan in
            let f x =
-             Objective.eval ~plan ~power ~totals ~e:(Array.sub x 0 m)
+             Lepts_oracle.Oracle.eval ~plan ~power ~totals ~e:(Array.sub x 0 m)
                ~w_hat:(Array.sub x m m)
            in
            Lepts_optim.Numdiff.gradient ~f
@@ -262,11 +263,11 @@ let run_benchmarks () =
 (* Phase 3: solver-kernel benchmarks (time + allocation), --json mode.    *)
 (* ---------------------------------------------------------------------- *)
 
-(* The allocating reference paths are kept in {!Lepts_core.Objective}
-   precisely so this group can put a number on the workspace kernels:
-   same inputs, alloc vs workspace, ns/op and minor-words/op side by
-   side — plus full multi-start solves at three plan sizes and the
-   sequential-vs-parallel multi-start wall clock. *)
+(* The "alloc" rows run the allocating reference objective of
+   {!Lepts_oracle.Oracle}, so this group can put a number on the
+   workspace kernels: same inputs, alloc vs workspace, ns/op and
+   minor-words/op side by side — plus full multi-start solves at three
+   plan sizes and the sequential-vs-parallel multi-start wall clock. *)
 
 module Workspace = Lepts_core.Workspace
 
@@ -314,13 +315,14 @@ let solver_kernel_cases () =
     ignore (Result.get_ok (Solver.solve_acs ~plan:(Lazy.force plan_lazy) ~power ()))
   in
   [ ( "objective eval, alloc (CNC, 32 subs)",
-      (fun () -> ignore (Objective.eval ~plan ~power ~totals ~e ~w_hat)),
+      (fun () -> ignore (Lepts_oracle.Oracle.eval ~plan ~power ~totals ~e ~w_hat)),
       10_000 );
     ( "objective eval, workspace (CNC, 32 subs)",
       (fun () -> ignore (Objective.eval_ws ws ~power ~totals ~e ~w_hat)),
       10_000 );
     ( "adjoint gradient, alloc (CNC, 32 subs)",
-      (fun () -> ignore (Objective.eval_with_gradient ~plan ~power ~totals ~e ~w_hat)),
+      (fun () ->
+        ignore (Lepts_oracle.Oracle.eval_with_gradient ~plan ~power ~totals ~e ~w_hat)),
       10_000 );
     ( "adjoint gradient, workspace (CNC, 32 subs)",
       (fun () ->
@@ -828,25 +830,12 @@ let telemetry_overhead_measurement ~quick () =
   in
   (off_s, on_s, records, overhead_ns, bit_identical)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float x = if Float.is_finite x then Printf.sprintf "%.3f" x else "null"
 
 let emit_par_row oc key r =
   let out fmt = Printf.fprintf oc fmt in
   out "  \"%s\": {\n" key;
-  out "    \"plan\": \"%s\",\n" (json_escape r.par_plan);
+  out "    \"plan\": \"%s\",\n" (Export.json_escape r.par_plan);
   out "    \"jobs\": %d,\n" r.par_jobs;
   out "    \"solves\": %d,\n" r.par_solves;
   out "    \"seq_s\": %s,\n" (json_float r.seq_s);
@@ -859,7 +848,7 @@ let emit_par_row oc key r =
 let emit_huge_row oc ~last r =
   let out fmt = Printf.fprintf oc fmt in
   out "    {\"plan\": \"%s\", \"subs\": %d, \"fast_s\": %s, \"exact_s\": %s, "
-    (json_escape r.huge_name) r.huge_subs (json_float r.huge_fast_s)
+    (Export.json_escape r.huge_name) r.huge_subs (json_float r.huge_fast_s)
     (match r.huge_exact_s with Some s -> json_float s | None -> "null");
   out "\"speedup_vs_seed\": %s, \"objective\": %s, \"bit_identical\": %b}%s\n"
     (json_float (huge_speedup_vs_seed r)) (json_float r.huge_objective)
@@ -880,7 +869,7 @@ let emit_solver_json ~path ~quick rows ~stream ~saturated
   List.iteri
     (fun i r ->
       out "    {\"name\": \"%s\", \"ns_per_op\": %s, \"minor_words_per_op\": %s}%s\n"
-        (json_escape r.row_name) (json_float r.ns_per_op)
+        (Export.json_escape r.row_name) (json_float r.ns_per_op)
         (json_float r.minor_words_per_op)
         (if i = List.length rows - 1 then "" else ","))
     rows;
@@ -899,7 +888,7 @@ let emit_solver_json ~path ~quick rows ~stream ~saturated
   out "  },\n";
   out "  \"warm_start\": {\n";
   out "    \"continuation\": {\n";
-  out "      \"plan\": \"%s\",\n" (json_escape continuation.warm_plan);
+  out "      \"plan\": \"%s\",\n" (Export.json_escape continuation.warm_plan);
   out "      \"cold_s\": %s,\n" (json_float continuation.cold_s);
   out "      \"warm_s\": %s,\n" (json_float continuation.warm_s);
   out "      \"speedup\": %s,\n" (json_float (warm_speedup continuation));
@@ -908,7 +897,7 @@ let emit_solver_json ~path ~quick rows ~stream ~saturated
   out "      \"first_point_bit_identical\": %b\n" continuation.first_identical;
   out "    },\n";
   out "    \"fig6a\": {\n";
-  out "      \"plan\": \"%s\",\n" (json_escape fig6a.f6_plan);
+  out "      \"plan\": \"%s\",\n" (Export.json_escape fig6a.f6_plan);
   out "      \"cold_s\": %s,\n" (json_float fig6a.f6_cold_s);
   out "      \"warm_s\": %s,\n" (json_float fig6a.f6_warm_s);
   out "      \"speedup\": %s,\n"
@@ -936,7 +925,7 @@ let emit_solver_json ~path ~quick rows ~stream ~saturated
   List.iteri
     (fun i r ->
       out "      {\"label\": \"%s\", \"static_mean_energy\": %s, "
-        (json_escape r.ad_label) (json_float r.ad_static_mean);
+        (Export.json_escape r.ad_label) (json_float r.ad_static_mean);
       out "\"adaptive_mean_energy\": %s, \"improvement_pct\": %s, "
         (json_float r.ad_adaptive_mean) (json_float r.ad_improvement_pct);
       out "\"resolves\": %d, \"drift_events\": %d, \"bit_identical\": %b}%s\n"

@@ -60,17 +60,21 @@ let solve ?(max_outer = 40) ?(max_inner = 2000) ~mode ~(plan : Plan.t) ~power ()
   | Ok (e0, q0) ->
     let m = Array.length plan.Plan.order in
     let totals = Objective.instance_totals mode plan in
+    let ws = Workspace.create plan in
     let unpack x = (Array.sub x 0 m, Array.sub x m m) in
     let objective x =
       let e, w_hat = unpack x in
-      Objective.eval ~plan ~power ~totals ~e ~w_hat
+      Objective.eval_ws ws ~power ~totals ~e ~w_hat
     in
     let gradient =
       match power.Model.delay with
       | Model.Ideal _ ->
         fun x ->
           let e, w_hat = unpack x in
-          let _, de, dq = Objective.eval_with_gradient ~plan ~power ~totals ~e ~w_hat in
+          let de = Array.make m 0. and dq = Array.make m 0. in
+          let (_ : float) =
+            Objective.eval_with_gradient_ws ws ~power ~totals ~e ~w_hat ~de ~dwq:dq
+          in
           Array.append de dq
       | Model.Alpha _ -> fun x -> Numdiff.gradient ~f:objective x
     in
@@ -87,7 +91,10 @@ let solve ?(max_outer = 40) ?(max_inner = 2000) ~mode ~(plan : Plan.t) ~power ()
       let schedule = Static_schedule.create ~plan ~power ~end_times:e ~quotas:q in
       Ok
         ( schedule,
-          { Solver.objective = Static_schedule.predicted_energy schedule ~mode;
+          { Solver.objective =
+              Objective.eval_ws ws ~power ~totals
+                ~e:schedule.Static_schedule.end_times
+                ~w_hat:schedule.Static_schedule.quotas;
             max_violation = report.Al.max_violation;
             outer_iterations = report.Al.outer_iterations;
             inner_iterations = report.Al.inner_iterations } ))

@@ -17,11 +17,11 @@
       E    += c_eff * v_k^2 * w_k
     v}
 
-    [eval] computes this energy; [eval_with_gradient] additionally
-    returns its gradient with respect to [(e, w_hat)] by a hand-written
-    reverse-mode (adjoint) sweep — exact for the ideal delay model, and
-    cross-checked against numerical differentiation in the test
-    suite. *)
+    {!eval_ws} computes this energy and {!eval_with_gradient_ws}
+    additionally its gradient with respect to [(e, w_hat)] by a
+    hand-written reverse-mode (adjoint) sweep — exact for the ideal
+    delay model, and cross-checked against numerical differentiation
+    and an allocating reference implementation in the test suite. *)
 
 type mode =
   | Average  (** instances take their ACEC — the ACS objective *)
@@ -48,11 +48,12 @@ val eval :
   e:float array ->
   w_hat:float array ->
   float
-(** Runtime energy for the given actual instance workloads. [e] and
-    [w_hat] are indexed by total-order position. Degenerate windows are
-    guarded: a dispatched sub-instance whose window [e_k - s_k] is not
-    positive is priced at a tiny positive window, so the value stays
-    finite (and enormous) on infeasible iterates. *)
+(** Runtime energy for the given actual instance workloads: {!eval_ws}
+    on a fresh workspace, for one-off evaluations. [e] and [w_hat] are
+    indexed by total-order position. Degenerate windows are guarded: a
+    dispatched sub-instance whose window [e_k - s_k] is not positive is
+    priced at a tiny positive window, so the value stays finite (and
+    enormous) on infeasible iterates. *)
 
 val trace :
   plan:Lepts_preempt.Plan.t ->
@@ -61,26 +62,14 @@ val trace :
   e:float array ->
   w_hat:float array ->
   trace
-(** Like {!eval} but returning the full execution trace. *)
-
-val eval_with_gradient :
-  plan:Lepts_preempt.Plan.t ->
-  power:Lepts_power.Model.t ->
-  totals:float array array ->
-  e:float array ->
-  w_hat:float array ->
-  float * float array * float array
-(** [(energy, de, dw_hat)]. Requires the ideal delay model; raises
-    [Invalid_argument] for the alpha model (use numerical
-    differentiation there — see {!Solver}). *)
+(** Like {!eval} but returning the full execution trace; its [energy]
+    is bit-identical to {!eval}'s. *)
 
 (** {1 Workspace kernels}
 
-    Allocation-free variants of {!eval} and {!eval_with_gradient} over
-    the preallocated buffers of a {!Workspace.t}. They perform exactly
-    the same floating-point operations in the same order as the
-    allocating paths above — bit-identical results, asserted by the
-    test suite — and are what the solver's inner loop calls. *)
+    The objective and its gradient over the preallocated buffers of a
+    {!Workspace.t}: they allocate nothing, which is why the solver's
+    inner loop calls them. *)
 
 val eval_ws :
   Workspace.t ->
@@ -89,7 +78,7 @@ val eval_ws :
   e:float array ->
   w_hat:float array ->
   float
-(** Bit-identical to {!eval} on [Workspace.plan ws]; allocates
+(** Runtime energy on the workspace's plan (see {!eval}); allocates
     nothing. Clobbers the workspace's objective buffers. *)
 
 val eval_with_gradient_ws :
@@ -101,6 +90,7 @@ val eval_with_gradient_ws :
   de:float array ->
   dwq:float array ->
   float
-(** Bit-identical energy and gradients to {!eval_with_gradient},
-    writing the gradients into [de] and [dwq] (both of the plan size)
-    instead of allocating them. Requires the ideal delay model. *)
+(** The energy, with its gradients with respect to [e] and [w_hat]
+    written into [de] and [dwq] (both of the plan size). Requires the
+    ideal delay model; raises [Invalid_argument] for the alpha model
+    (use numerical differentiation there — see {!Solver}). *)

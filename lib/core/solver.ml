@@ -328,6 +328,14 @@ let slacks_for (plan : Plan.t) ~t_max ~e ~q =
 
 (* --- Augmented Lagrangian over the slack parametrisation --------------- *)
 
+(* Mean objective over the scenarios of [totals_list] at [(e, q)], on
+   [ws]'s kernels. *)
+let mean_objective ws ~power ~totals_list ~e ~q =
+  List.fold_left
+    (fun acc totals -> acc +. Objective.eval_ws ws ~power ~totals ~e ~w_hat:q)
+    0. totals_list
+  /. float_of_int (List.length totals_list)
+
 (* [totals_list] holds one or more workload scenarios; the objective is
    their mean runtime energy (a single ACEC or WCEC scenario for the
    deterministic modes, a Monte-Carlo sample for the stochastic
@@ -536,7 +544,7 @@ let solve_from ?deadline ?telemetry ~max_outer ~max_inner ~totals_list
        round one ulp above [u_k], and end-times computed from [u_k]
        would then sit below {!repair}'s minimum and be lifted by an
        ulp on every re-solve, breaking the repair-identity that warm
-       continuation ({!solve_warm}) relies on for its seed-kept
+       continuation ({!resolve_incremental}) relies on for its seed-kept
        fixpoint. *)
     let z = !x in
     let (_ : int) = forward z in
@@ -558,13 +566,9 @@ let solve_from ?deadline ?telemetry ~max_outer ~max_inner ~totals_list
         let schedule = Static_schedule.create ~plan ~power ~end_times:e ~quotas:q in
         let stats =
           { objective =
-              List.fold_left
-                (fun acc totals ->
-                  acc
-                  +. Objective.eval ~plan ~power ~totals ~e:schedule.Static_schedule.end_times
-                       ~w_hat:schedule.Static_schedule.quotas)
-                0. totals_list
-              /. scenario_count;
+              mean_objective ws ~power ~totals_list
+                ~e:schedule.Static_schedule.end_times
+                ~q:schedule.Static_schedule.quotas;
             max_violation = !violation;
             outer_iterations = !outer;
             inner_iterations = !inner_total }
@@ -581,84 +585,92 @@ let solve_from ?deadline ?telemetry ~max_outer ~max_inner ~totals_list
       | Error err -> slot.Telemetry.failure <- Some (Format.asprintf "%a" pp_error err)));
     result
 
+(* --- The start loop shared by every solve --------------------------------- *)
+
+(* Every solve — cold or warm — runs here: one descent per seed point,
+   each on its own workspace, on a domain pool. Results come back
+   indexed by seed and the reduction below scans them in seed order, so
+   the pick is the same schedule for every [jobs] value. [baseline], if
+   any, is the candidate to beat before the first seed; a result
+   replaces the current best only when it is better by more than
+   [threshold] relative to the best's objective ([0.] gives a plain
+   strict-improvement test). *)
+let run_starts ?wall_budget ?telemetry ?(jobs = 1) ?baseline ~threshold
+    ~max_outer ~max_inner ~totals_list ~(plan : Plan.t) ~power seeds =
+  let t0 = now () in
+  let deadline = Option.map (fun b -> t0 +. b) wall_budget in
+  let n_starts = Array.length seeds in
+  Metrics.incr m_solves;
+  Metrics.incr ~by:n_starts m_starts;
+  Option.iter (fun s -> Telemetry.init_starts s ~n:n_starts) telemetry;
+  (* Pool workers start with an empty span stack; capturing the
+     caller's innermost span here and passing it as the explicit
+     parent keeps span paths identical for every [jobs] value. *)
+  let span_parent = match Span.current () with Some p -> p | None -> "" in
+  let attempts, (_ : Pool.stats) =
+    Pool.run ~jobs ~n:n_starts ~f:(fun start ->
+        Span.with_ ~parent:span_parent ~name:"start" (fun () ->
+            let telemetry =
+              Option.map (fun s -> Telemetry.start_slot s start) telemetry
+            in
+            try
+              solve_from ?deadline ?telemetry ~max_outer ~max_inner
+                ~totals_list ~ws:(Workspace.create plan) ~power
+                ~y0:seeds.(start) ()
+            with Lepts_optim.Guard.Non_finite what ->
+              Error
+                (Solver_stalled
+                   (Printf.sprintf "non-finite evaluation (%s)" what))))
+  in
+  Metrics.observe h_solve_seconds (now () -. t0);
+  let best = ref baseline in
+  (* Keep the most recent failure: when every start fails, the final
+     error must say why instead of a generic stall message. *)
+  let last_error = ref None in
+  Array.iteri
+    (fun start attempt ->
+      match attempt with
+      | Error err ->
+        Metrics.incr m_start_failures;
+        Log.debug (fun f -> f "start %d failed: %a" start pp_error err);
+        last_error := Some err
+      | Ok (schedule, stats) -> (
+        match !best with
+        | Some (_, b)
+          when b.objective -. (threshold *. Float.abs b.objective) <= stats.objective
+          -> ()
+        | _ -> best := Some (schedule, stats)))
+    attempts;
+  match !best with
+  | Some result -> Ok result
+  | None ->
+    let detail =
+      match !last_error with
+      | Some (Solver_stalled why) -> ": last failure: " ^ why
+      | Some Unschedulable -> ": last failure: unschedulable"
+      | None -> ""
+    in
+    Error (Solver_stalled ("no start point produced a feasible schedule" ^ detail))
+
 (* The NLP is non-convex and piecewise smooth, so a single descent run
-   can stall. Each solve therefore starts from several structurally
+   can stall. A cold solve therefore starts from several structurally
    distinct feasible points — the greedy (as-soon-as-possible)
    worst-case schedule, its ALAP push-right, and any caller-provided
    warm starts (e.g. the WCS solution when solving ACS) — and keeps the
-   best result. The starts are independent, so [jobs > 1] runs them on
-   a domain pool; each start owns its workspace, results come back
-   indexed by start, and the reduction below scans them in start order
-   with a strict-improvement test — so the pick is the same schedule
-   for every [jobs] value. *)
-let solve_multi_start ?wall_budget ?telemetry ?(jobs = 1) ~max_outer
-    ~max_inner ~warm_starts ~totals_list ~(plan : Plan.t) ~power () =
+   best result. *)
+let cold_seeds ~warm_starts ~(plan : Plan.t) ~power =
   match initial_point ~plan ~power with
   | Error _ as err -> err
   | Ok (e0, q0) ->
     let m = Array.length plan.Plan.order in
     let t_max = t_at_vmax power in
-    let t0 = now () in
-    let deadline = Option.map (fun b -> t0 +. b) wall_budget in
     let point_of_eq (e, q) = Array.append q (slacks_for plan ~t_max ~e ~q) in
     let alap = alap_end_times plan ~t_max ~e:e0 ~q:q0 in
-    let candidates =
-      Array.of_list
-        (Array.append q0 (Array.make m 0.)
-         :: point_of_eq (alap, q0)
-         :: List.map point_of_eq warm_starts)
-    in
-    let n_starts = Array.length candidates in
-    Metrics.incr m_solves;
-    Metrics.incr ~by:n_starts m_starts;
-    Option.iter (fun s -> Telemetry.init_starts s ~n:n_starts) telemetry;
-    (* Pool workers start with an empty span stack; capturing the
-       caller's innermost span here and passing it as the explicit
-       parent keeps span paths identical for every [jobs] value. *)
-    let span_parent = match Span.current () with Some p -> p | None -> "" in
-    let attempts, (_ : Pool.stats) =
-      Pool.run ~jobs ~n:n_starts ~f:(fun start ->
-          Span.with_ ~parent:span_parent ~name:"start" (fun () ->
-              let telemetry =
-                Option.map (fun s -> Telemetry.start_slot s start) telemetry
-              in
-              try
-                solve_from ?deadline ?telemetry ~max_outer ~max_inner
-                  ~totals_list ~ws:(Workspace.create plan) ~power
-                  ~y0:candidates.(start) ()
-              with Lepts_optim.Guard.Non_finite what ->
-                Error
-                  (Solver_stalled
-                     (Printf.sprintf "non-finite evaluation (%s)" what))))
-    in
-    Metrics.observe h_solve_seconds (now () -. t0);
-    let best = ref None in
-    (* Keep the most recent failure: when every start fails, the final
-       error must say why instead of a generic stall message. *)
-    let last_error = ref None in
-    Array.iteri
-      (fun start attempt ->
-        match attempt with
-        | Error err ->
-          Metrics.incr m_start_failures;
-          Log.debug (fun f -> f "start %d failed: %a" start pp_error err);
-          last_error := Some err
-        | Ok (schedule, stats) -> (
-          match !best with
-          | Some (_, best_stats) when best_stats.objective <= stats.objective -> ()
-          | _ -> best := Some (schedule, stats)))
-      attempts;
-    (match !best with
-    | Some result -> Ok result
-    | None ->
-      let detail =
-        match !last_error with
-        | Some (Solver_stalled why) -> ": last failure: " ^ why
-        | Some Unschedulable -> ": last failure: unschedulable"
-        | None -> ""
-      in
-      Error
-        (Solver_stalled ("no start point produced a feasible schedule" ^ detail)))
+    Ok
+      (Array.of_list
+         (Array.append q0 (Array.make m 0.)
+          :: point_of_eq (alap, q0)
+          :: List.map point_of_eq warm_starts))
 
 let solve ?wall_budget ?telemetry ?jobs ?(max_outer = 30)
     ?(max_inner = 2000) ?(warm_starts = []) ~mode ~(plan : Plan.t) ~power () =
@@ -668,9 +680,10 @@ let solve ?wall_budget ?telemetry ?jobs ?(max_outer = 30)
     | Objective.Worst -> "solve:wcs"
   in
   Span.with_ ~name:span_name (fun () ->
-      let totals_list = [ Objective.instance_totals mode plan ] in
-      solve_multi_start ?wall_budget ?telemetry ?jobs ~max_outer
-        ~max_inner ~warm_starts ~totals_list ~plan ~power ())
+      Result.bind (cold_seeds ~warm_starts ~plan ~power)
+        (run_starts ?wall_budget ?telemetry ?jobs ~threshold:0. ~max_outer
+           ~max_inner ~totals_list:[ Objective.instance_totals mode plan ] ~plan
+           ~power))
 
 let solve_stochastic ?telemetry ?jobs ?(max_outer = 30)
     ?(max_inner = 2000) ?(warm_starts = []) ?(scenarios = 16) ?(seed = 1)
@@ -691,8 +704,9 @@ let solve_stochastic ?telemetry ?jobs ?(max_outer = 30)
   in
   let totals_list = List.init scenarios (fun _ -> sample ()) in
   Span.with_ ~name:"solve:stochastic" (fun () ->
-      solve_multi_start ?telemetry ?jobs ~max_outer ~max_inner
-        ~warm_starts ~totals_list ~plan ~power ())
+      Result.bind (cold_seeds ~warm_starts ~plan ~power)
+        (run_starts ?telemetry ?jobs ~threshold:0. ~max_outer ~max_inner
+           ~totals_list ~plan ~power))
 
 let solve_acs ?wall_budget ?telemetry ?jobs ?max_outer ?max_inner
     ?warm_starts ~plan ~power () =
@@ -755,38 +769,29 @@ let quota_sums_match ~(plan : Plan.t) (prev : Static_schedule.t) =
     plan.Plan.instance_subs;
   !ok
 
-(* One continuation descent seeded from [prev], reduced prev-first with
-   a relative strict-improvement threshold: the continuation replaces
-   the seed only when it is better by more than [improvement_rel]
-   (relative to the seed's objective). Restarting the augmented
+(* Relative strict-improvement threshold of the warm reduction: the
+   continuation replaces the seed only when it is better by more than
+   this fraction of the seed's objective. Restarting the augmented
    Lagrangian from a converged point produces sub-tolerance drift
    (fresh multipliers, one more projection); the threshold keeps the
    seed in that case, so re-solving a converged instance returns it
    bit-identically and a warm solve is never worse than its seed. *)
-let continue_from ?deadline ?telemetry ~max_outer ~max_inner
-    ~improvement_rel ~totals_list ~(plan : Plan.t) ~power
-    ~(prev : Static_schedule.t) () =
+let improvement_rel = 1e-6
+
+(* Seed preparation for the warm continuation: [(y0, baseline)], the
+   one descent seed and the candidate it must beat. The seed is the
+   previous quotas re-projected onto the current per-instance
+   simplexes, end-times clamped into the current windows, slacks
+   re-derived to realise those end-times under the frontier recursion.
+   The re-projection runs in quota units ([t_max = 1.]). *)
+let continue_from ~totals_list ~(plan : Plan.t) ~power (prev : Static_schedule.t) =
   let m = Array.length plan.Plan.order in
   let t_max = t_at_vmax power in
-  let hyper = Plan.hyper_period plan in
-  let scenario_count = float_of_int (List.length totals_list) in
-  let mean_objective e q =
-    List.fold_left
-      (fun acc totals -> acc +. Objective.eval ~plan ~power ~totals ~e ~w_hat:q)
-      0. totals_list
-    /. scenario_count
-  in
+  let ws = Workspace.create plan in
   let prev_e = prev.Static_schedule.end_times in
   let prev_q = prev.Static_schedule.quotas in
-  (* Seed point: previous quotas re-projected onto the current
-     per-instance simplexes, end-times clamped into the current
-     windows, slacks re-derived to realise those end-times under the
-     frontier recursion. The re-projection runs in quota units
-     ([t_max = 1.]) on the workspace the continuation descent then
-     reuses. *)
-  let ws = Workspace.create plan in
   let y0 = Array.append (Array.copy prev_q) (Array.make m 0.) in
-  make_projection ws ~t_max:1. ~hyper y0;
+  make_projection ws ~t_max:1. ~hyper:(Plan.hyper_period plan) y0;
   let e_seed =
     Array.mapi
       (fun k e ->
@@ -806,77 +811,42 @@ let continue_from ?deadline ?telemetry ~max_outer ~max_inner
       if quota_sums_match ~plan prev then (prev_e, prev_q) else (e_seed, q_seed)
     in
     match repair ~plan ~power ~e:e_b ~q:q_b with
-    | Error _ as err -> err
+    | Error _ -> None
     | Ok (e, q) ->
       let schedule = Static_schedule.create ~plan ~power ~end_times:e ~quotas:q in
-      Ok
+      Some
         ( schedule,
           { objective =
-              mean_objective schedule.Static_schedule.end_times
-                schedule.Static_schedule.quotas;
+              mean_objective ws ~power ~totals_list
+                ~e:schedule.Static_schedule.end_times
+                ~q:schedule.Static_schedule.quotas;
             max_violation = 0.; outer_iterations = 0; inner_iterations = 0 } )
   in
-  let continued =
-    try
-      solve_from ?deadline ?telemetry ~max_outer ~max_inner ~totals_list ~ws
-        ~power ~y0 ()
-    with Lepts_optim.Guard.Non_finite what ->
-      Error (Solver_stalled (Printf.sprintf "non-finite evaluation (%s)" what))
-  in
-  match (baseline, continued) with
-  | Ok (_, bstats), Ok (_, cstats)
-    when cstats.objective
-         >= bstats.objective -. (improvement_rel *. Float.abs bstats.objective) ->
-    baseline
-  | _, Ok result -> Ok result
-  | Ok _, Error _ -> baseline
-  | (Error _ as err), Error _ -> err
+  (y0, baseline)
 
-let solve_warm ?wall_budget ?telemetry ?jobs ?(max_outer = 30)
-    ?(max_inner = 2000) ?(improvement_rel = 1e-6) ~mode
-    ~(prev : Static_schedule.t) ~(plan : Plan.t) ~power () =
-  if not (structurally_compatible ~plan prev) then
-    (* Nothing to continue from: full cold multi-start. *)
-    solve ?wall_budget ?telemetry ?jobs ~max_outer ~max_inner ~mode
-      ~plan ~power ()
-  else
-    Span.with_ ~name:"solve:warm" (fun () ->
-        let totals_list = [ Objective.instance_totals mode plan ] in
-        let t0 = now () in
-        let deadline = Option.map (fun b -> t0 +. b) wall_budget in
-        Metrics.incr m_solves;
-        Metrics.incr m_starts;
-        Option.iter (fun s -> Telemetry.init_starts s ~n:1) telemetry;
-        let slot = Option.map (fun s -> Telemetry.start_slot s 0) telemetry in
-        let result =
-          continue_from ?deadline ?telemetry:slot ~max_outer
-            ~max_inner ~improvement_rel ~totals_list ~plan ~power ~prev ()
-        in
-        Metrics.observe h_solve_seconds (now () -. t0);
-        (match result with
-        | Error _ -> Metrics.incr m_start_failures
-        | Ok _ -> ());
-        result)
-
-let resolve_incremental ?wall_budget ?telemetry ?jobs ?max_outer
-    ?max_inner ?improvement_rel ~mode ~(prev : Static_schedule.t)
-    ~(plan : Plan.t) ~power () =
+let resolve_incremental ?wall_budget ?telemetry ?jobs ?(max_outer = 30)
+    ?(max_inner = 2000) ~mode ~(prev : Static_schedule.t) ~(plan : Plan.t)
+    ~power () =
   if structurally_compatible ~plan prev then
     (* Only workloads (ACEC / WCEC values) changed: one continuation
        descent from the previous solution, never worse than the seed. *)
-    solve_warm ?wall_budget ?telemetry ?jobs ?max_outer ?max_inner
-      ?improvement_rel ~mode ~prev ~plan ~power ()
+    Span.with_ ~name:"solve:warm" (fun () ->
+        let totals_list = [ Objective.instance_totals mode plan ] in
+        let y0, baseline = continue_from ~totals_list ~plan ~power prev in
+        run_starts ?wall_budget ?telemetry ?jobs ?baseline
+          ~threshold:improvement_rel ~max_outer ~max_inner ~totals_list ~plan
+          ~power [| y0 |])
   else if
     Array.length prev.Static_schedule.end_times = Array.length plan.Plan.order
   then
     (* Same order length but shifted windows (e.g. one task's period or
        deadline changed): the previous point still carries information,
        so feed it to the multi-start as an extra warm start. *)
-    solve ?wall_budget ?telemetry ?jobs ?max_outer ?max_inner
+    solve ?wall_budget ?telemetry ?jobs ~max_outer ~max_inner
       ~warm_starts:
         [ (prev.Static_schedule.end_times, prev.Static_schedule.quotas) ]
       ~mode ~plan ~power ()
   else
     (* Structure changed (task added/removed): cold solve. *)
-    solve ?wall_budget ?telemetry ?jobs ?max_outer ?max_inner ~mode
+    solve ?wall_budget ?telemetry ?jobs ~max_outer ~max_inner ~mode
       ~plan ~power ()

@@ -131,74 +131,52 @@ val solve_wcs :
   (Static_schedule.t * stats, error) result
 (** [solve ~mode:Worst] — the baseline that only considers WCEC. *)
 
-val solve_warm :
-  ?wall_budget:float ->
-  ?telemetry:Lepts_obs.Telemetry.solve ->
-  ?jobs:int ->
-  ?max_outer:int ->
-  ?max_inner:int ->
-  ?improvement_rel:float ->
-  mode:Objective.mode ->
-  prev:Static_schedule.t ->
-  plan:Lepts_preempt.Plan.t ->
-  power:Lepts_power.Model.t ->
-  unit ->
-  (Static_schedule.t * stats, error) result
-(** Warm-start continuation: one projected-gradient descent seeded
-    from a previous solution instead of the full multi-start. The
-    previous quotas are re-projected onto the current per-instance
-    [sum = WCEC] simplexes, the end-times clamped into the current
-    windows and the slacks re-derived, and the augmented Lagrangian
-    restarts from that point (fresh multipliers).
-
-    The reduction is prev-first with a {e relative} strict-improvement
-    threshold [improvement_rel] (default [1e-6]): the continuation
-    result replaces the (repaired, re-evaluated) seed only when it is
-    better by more than that fraction of the seed's objective.
-    Consequences, both asserted by the test suite:
-
-    - re-solving a converged instance warm returns the previous
-      schedule bit-identically ([stats.outer_iterations = 0] marks the
-      seed being kept);
-    - a warm solve is never worse than its seed evaluated under the
-      current objective — even under an exhausted [wall_budget], where
-      the seed is returned as-is.
-
-    When [plan] is not structurally compatible with [prev] (different
-    order length, or any segment's task/instance/window differs), the
-    call falls back to the cold {!solve} — [jobs] parallelises only
-    that fallback; the continuation itself is a single descent.
-
-    Intended for sweeps whose neighbouring points share optima
-    (BCEC/WCEC ratio continuation, ACS seeded from WCS) and for
-    re-solving after small workload changes ({!resolve_incremental}).
-    Note the warm pick may differ from the cold multi-start's (fewer
-    basins explored), so callers that persist results must treat
-    warm-started runs as a distinct configuration (the CLI puts
-    [--warm-start] in the checkpoint fingerprint). *)
-
 val resolve_incremental :
   ?wall_budget:float ->
   ?telemetry:Lepts_obs.Telemetry.solve ->
   ?jobs:int ->
   ?max_outer:int ->
   ?max_inner:int ->
-  ?improvement_rel:float ->
   mode:Objective.mode ->
   prev:Static_schedule.t ->
   plan:Lepts_preempt.Plan.t ->
   power:Lepts_power.Model.t ->
   unit ->
   (Static_schedule.t * stats, error) result
-(** Incremental re-solve after a change, picking the cheapest strategy
-    that fits what actually changed:
+(** Re-solve after a change, seeded from a previous solution [prev],
+    with the cheapest strategy that fits what changed:
 
-    - plan structurally identical to [prev]'s (only ACEC/WCEC values
-      moved — the serve-cache and adaptive-estimator case):
-      {!solve_warm} continuation, never worse than the seed;
-    - same order length but shifted windows (one task's timing
-      changed): cold multi-start with [prev] as an extra warm start;
-    - different size (task added or removed): plain cold {!solve}. *)
+    - [plan] structurally identical to [prev]'s (same order length, and
+      every segment's task, instance and window equal — only ACEC/WCEC
+      values may have moved): warm continuation, below;
+    - same order length but shifted windows: cold {!solve} with [prev]
+      as an extra warm start;
+    - different size (task added or removed): plain cold {!solve}.
+
+    The warm continuation is one projected-gradient descent instead of
+    the multi-start: the previous quotas are re-projected onto the
+    current per-instance [sum = WCEC] simplexes, the end-times clamped
+    into the current windows and the slacks re-derived, and the
+    augmented Lagrangian restarts from that point (fresh multipliers).
+    The result replaces the repaired, re-evaluated seed only when it is
+    better by more than [1e-6] of the seed's objective, so (both
+    asserted by the test suite):
+
+    - re-solving a converged instance returns the previous schedule
+      bit-identically ([stats.outer_iterations = 0] marks the seed
+      being kept);
+    - a warm solve is never worse than its seed evaluated under the
+      current objective — even under an exhausted [wall_budget], where
+      the seed is returned as-is.
+
+    [jobs] parallelises only the cold fallbacks. Wall budget,
+    telemetry, spans ([solve:warm/start]) and metrics behave as in
+    {!solve} with one start; when both the seed and the descent fail,
+    the error reports the descent's failure. The warm pick may differ
+    from the cold multi-start's (fewer basins explored), so callers
+    that persist results must treat warm-started runs as a distinct
+    configuration (the CLI puts [--warm-start] in the checkpoint
+    fingerprint). *)
 
 val solve_stochastic :
   ?telemetry:Lepts_obs.Telemetry.solve ->

@@ -122,6 +122,3 @@ let create (plan : Plan.t) =
     pen_prefix = Array.make (m + 1) 0.;
     fwd_valid = false;
     pen_valid = false }
-
-let plan t = t.plan
-let size t = t.m

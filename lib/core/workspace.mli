@@ -78,6 +78,3 @@ val create : Lepts_preempt.Plan.t -> t
 (** Allocate every buffer for the given plan (a few dozen arrays of the
     plan size — cheap relative to one solve, expensive relative to one
     objective evaluation, so create once per solve and reuse). *)
-
-val plan : t -> Lepts_preempt.Plan.t
-val size : t -> int

@@ -15,14 +15,15 @@ let time f =
   (r, Unix.gettimeofday () -. t0)
 
 (* The ACS arm shared by the ablations: the cold multi-start, or — with
-   [warm_start] — one {!Solver.solve_warm} continuation seeded from a
-   fresh WCS solve (the same reduction {!objectives} uses). *)
+   [warm_start] — one {!Solver.resolve_incremental} continuation seeded
+   from a fresh WCS solve (the same reduction {!objectives} uses). *)
 let solve_acs_arm ~jobs ~warm_start ~plan ~power () =
   if warm_start then
     match Solver.solve_wcs ~jobs ~plan ~power () with
     | Error _ as err -> err
     | Ok (wcs, _) ->
-      Solver.solve_warm ~jobs ~mode:Objective.Average ~prev:wcs ~plan ~power ()
+      Solver.resolve_incremental ~jobs ~mode:Objective.Average ~prev:wcs ~plan
+        ~power ()
   else Solver.solve_acs ~jobs ~plan ~power ()
 
 let formulations ?(jobs = 1) ?(warm_start = false) ~task_set ~power () =
@@ -66,8 +67,8 @@ let objectives ?(rounds = 500) ?(jobs = 1) ?(warm_start = false) ~task_set
     let warm = [ (wcs.Static_schedule.end_times, wcs.Static_schedule.quotas) ] in
     let acs_result =
       if warm_start then
-        Solver.solve_warm ~jobs ~mode:Lepts_core.Objective.Average ~prev:wcs
-          ~plan ~power ()
+        Solver.resolve_incremental ~jobs ~mode:Lepts_core.Objective.Average
+          ~prev:wcs ~plan ~power ()
       else Solver.solve_acs ~jobs ~warm_starts:warm ~plan ~power ()
     in
     match acs_result with

@@ -21,8 +21,8 @@
 
     Every comparison also accepts [warm_start] (default [false]): each
     ACS-style solve becomes one continuation descent from a fresh WCS
-    solution ({!Lepts_core.Solver.solve_warm}) instead of the cold
-    multi-start — faster, never worse than the WCS seed, but a distinct
+    solution ({!Lepts_core.Solver.resolve_incremental}) instead of the
+    cold multi-start — faster, never worse than the WCS seed, but a distinct
     configuration (fewer basins explored), so persisted results must
     key on the flag (the CLI folds [--warm-start] into its checkpoint
     fingerprint). *)

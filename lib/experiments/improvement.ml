@@ -58,7 +58,7 @@ let measure ?(rounds = 1000) ?(jobs = 1) ?(solver_jobs = 1) ?(strong_baseline = 
          local optimum than the cold pick, so callers fingerprint the
          flag. *)
       if warm_start then
-        Solver.solve_warm ?telemetry:(sink "acs") ~jobs:solver_jobs
+        Solver.resolve_incremental ?telemetry:(sink "acs") ~jobs:solver_jobs
           ~mode:Lepts_core.Objective.Average ~prev:wcs ~plan ~power ()
       else
         Solver.solve_acs ?telemetry:(sink "acs") ~jobs:solver_jobs

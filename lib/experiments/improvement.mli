@@ -47,8 +47,8 @@ val measure :
     the workload distribution (see EXPERIMENTS.md).
 
     [warm_start] (default false) replaces the three-start ACS
-    multi-start with one {!Lepts_core.Solver.solve_warm} continuation
-    descent from the WCS solution — measurably faster on sweeps and
+    multi-start with one {!Lepts_core.Solver.resolve_incremental}
+    continuation descent from the WCS solution — measurably faster on sweeps and
     never worse than that seed, but it may settle in a different local
     optimum than the cold multi-start, so results are comparable only
     within one setting of the flag (sweep checkpoints fingerprint

@@ -9,10 +9,6 @@ let check_dims name a b =
     invalid_arg (Printf.sprintf "Vec.%s: dimension mismatch (%d vs %d)" name
                    (Array.length a) (Array.length b))
 
-let axpy a x y =
-  check_dims "axpy" x y;
-  Array.mapi (fun i xi -> (a *. xi) +. y.(i)) x
-
 let axpy_into a x y ~into =
   check_dims "axpy_into" x y;
   check_dims "axpy_into" x into;
@@ -25,12 +21,6 @@ let sub_into a b ~into =
   check_dims "sub_into" a into;
   for i = 0 to Array.length a - 1 do
     into.(i) <- a.(i) -. b.(i)
-  done
-
-let axpy_ip a x ~into =
-  check_dims "axpy_ip" x into;
-  for i = 0 to Array.length x - 1 do
-    into.(i) <- into.(i) +. (a *. x.(i))
   done
 
 let dot a b =

@@ -1,8 +1,7 @@
 (** Dense float vectors.
 
     Thin wrappers over [float array] used by the optimizer. Operations
-    ending in [_ip] or [_into] write into a caller-given vector; the
-    others allocate. Dimension mismatches raise [Invalid_argument]. *)
+    ending in [_into] write into a caller-given vector. Dimension mismatches raise [Invalid_argument]. *)
 
 type t = float array
 
@@ -10,17 +9,9 @@ val zeros : int -> t
 val copy : t -> t
 val dim : t -> int
 
-val axpy : float -> t -> t -> t
-(** [axpy a x y] is [a*x + y]. *)
-
-val axpy_ip : float -> t -> into:t -> unit
-(** [axpy_ip a x ~into:y] updates [y <- y + a*x]. *)
-
 val axpy_into : float -> t -> t -> into:t -> unit
 (** [axpy_into a x y ~into] writes [a*x + y] into [into] without
-    allocating. [into] may alias [x] or [y]. Componentwise it performs
-    exactly the same operations as {!axpy}, so results are
-    bit-identical. *)
+    allocating. [into] may alias [x] or [y]. *)
 
 val sub_into : t -> t -> into:t -> unit
 (** [sub_into a b ~into] writes [a - b] into [into] without

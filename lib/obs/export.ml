@@ -41,6 +41,11 @@ let buf_escape b s =
       | c -> Buffer.add_char b c)
     s
 
+let json_escape s =
+  let b = Buffer.create (String.length s + 2) in
+  buf_escape b s;
+  Buffer.contents b
+
 let add_string b s =
   Buffer.add_char b '"';
   buf_escape b s;

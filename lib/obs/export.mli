@@ -19,6 +19,13 @@ type report = {
       (** solves that ran uncaptured because the collector was full *)
 }
 
+val json_escape : string -> string
+(** The body of a JSON string literal for [s]. Quote and backslash
+    are backslash-escaped, newline, carriage return and tab become
+    [\n], [\r] and [\t], every other byte below 0x20 becomes
+    [\u00XX], and all other bytes (UTF-8 included) pass through.
+    Every JSON line the service writes is escaped with this. *)
+
 val report :
   command:string ->
   ?argv:string list ->

@@ -1,14 +1,5 @@
 module Vec = Lepts_linalg.Vec
 
-let box ~lo ~hi x =
-  if Vec.dim lo <> Vec.dim x || Vec.dim hi <> Vec.dim x then
-    invalid_arg "Projection.box: dimension mismatch";
-  Array.mapi
-    (fun i v ->
-      assert (lo.(i) <= hi.(i));
-      Lepts_util.Num_ext.clamp ~lo:lo.(i) ~hi:hi.(i) v)
-    x
-
 (* Sort-based simplex projection: find the threshold tau such that
    sum max(0, x_i - tau) = total, then shift-and-clip. *)
 let desc a b = Float.compare b a
@@ -230,19 +221,3 @@ let simplex_condat_ip ~total ~scratch ~n (x : float array) =
       x.(i) <- fmax 0. (x.(i) -. tau)
     done
   end
-
-let blocks projs ~offsets x =
-  if Array.length projs <> Array.length offsets then
-    invalid_arg "Projection.blocks: arity mismatch";
-  let out = Vec.copy x in
-  Array.iteri
-    (fun kidx (off, len) ->
-      if off < 0 || len < 0 || off + len > Vec.dim x then
-        invalid_arg "Projection.blocks: slice out of range";
-      let slice = Array.sub x off len in
-      let projected = projs.(kidx) slice in
-      if Array.length projected <> len then
-        invalid_arg "Projection.blocks: projection changed slice length";
-      Array.blit projected 0 out off len)
-    offsets;
-  out

@@ -1,10 +1,6 @@
 (** Euclidean projections onto the feasible sets used by the scheduler
     NLPs. *)
 
-val box : lo:Lepts_linalg.Vec.t -> hi:Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t
-(** Componentwise clamp onto [{x : lo <= x <= hi}]. Requires
-    [lo.(i) <= hi.(i)] for all [i]. *)
-
 val simplex : total:float -> Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t
 (** Projection onto the scaled simplex [{x : x >= 0, sum x = total}]
     (Held, Wolfe & Crowder; the standard sort-based O(n log n)
@@ -38,13 +34,3 @@ val simplex_condat_ip :
     see DESIGN.md §12 for why the solver keeps the
     sort-based threshold. Requires [total >= 0.], [n >= 1], NaN-free
     input, and [Array.length scratch >= n]. *)
-
-val blocks :
-  (Lepts_linalg.Vec.t -> Lepts_linalg.Vec.t) array ->
-  offsets:(int * int) array ->
-  Lepts_linalg.Vec.t ->
-  Lepts_linalg.Vec.t
-(** [blocks projs ~offsets x] applies [projs.(k)] to the slice
-    [x.[off, off+len)] given by [offsets.(k) = (off, len)]. Slices must
-    be disjoint; coordinates not covered by any slice pass through
-    unchanged. *)

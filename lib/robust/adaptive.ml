@@ -169,7 +169,7 @@ let run ?(rounds = 500) ?(jobs = 1) ?dist ?(config = default_config)
           Metrics.incr m_drift_events;
           let plan' = Estimator.plan_with_acecs plan ~acecs in
           let t0 = Unix.gettimeofday () in
-          (* Structurally identical plan: this takes the solve_warm
+          (* Structurally identical plan: this takes the warm
              continuation — a single descent, jobs-independent. *)
           match
             Solver.resolve_incremental ~jobs:1

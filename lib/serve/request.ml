@@ -48,7 +48,23 @@ let of_json line =
         | '\\' -> Buffer.add_char buf '\\'
         | '/' -> Buffer.add_char buf '/'
         | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
         | 't' -> Buffer.add_char buf '\t'
+        | 'u' ->
+          (* Four hex digits, leaving [pos] on the last; surrogates
+             (half of a UTF-16 pair) are refused. *)
+          let hex = if !pos + 4 < n then String.sub line (!pos + 1) 4 else "" in
+          let is_hex = function
+            | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+            | _ -> false
+          in
+          if hex = "" || not (String.for_all is_hex hex) then
+            err "malformed \\u escape at position %d" !pos;
+          let code = int_of_string ("0x" ^ hex) in
+          if not (Uchar.is_valid code) then
+            err "\\u escape %s at position %d is a UTF-16 surrogate" hex !pos;
+          Buffer.add_utf_8_uchar buf (Uchar.of_int code);
+          pos := !pos + 4
         | c -> err "unsupported escape '\\%c'" c);
         incr pos;
         go ()
@@ -166,19 +182,6 @@ let of_json line =
         acs_max_outer = !acs_max_outer }
   with Bad msg -> Error msg
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Shortest decimal rendering that parses back to the exact same
    IEEE-754 value: [%g] alone loses bits (e.g. 0.1 +. 0.2), which
    would break the of_json∘to_json round-trip the cache key relies
@@ -194,7 +197,7 @@ let float_json x =
 let to_json r =
   let fields = ref [] in
   let add s = fields := s :: !fields in
-  add (Printf.sprintf "\"id\":\"%s\"" (escape r.id));
+  add (Printf.sprintf "\"id\":\"%s\"" (Lepts_obs.Export.json_escape r.id));
   if r.tasks <> 0 then add (Printf.sprintf "\"tasks\":%d" r.tasks);
   if r.ratio <> 0.1 then add (Printf.sprintf "\"ratio\":%s" (float_json r.ratio));
   if r.seed <> 0 then add (Printf.sprintf "\"seed\":%d" r.seed);

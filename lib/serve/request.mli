@@ -36,7 +36,9 @@ type t = {
 }
 
 val of_json : string -> (t, string) result
-(** Parse one NDJSON line. [Error] carries a human-readable reason
+(** Parse one NDJSON line. Strings take the escapes quote, backslash,
+    slash, [\n], [\r], [\t] and [\uXXXX] (decoded to UTF-8; UTF-16
+    surrogates are refused). [Error] carries a human-readable reason
     naming the offending field. *)
 
 val to_json : t -> string

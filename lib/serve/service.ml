@@ -7,6 +7,7 @@ module Robust_solver = Lepts_robust.Robust_solver
 module Static_schedule = Lepts_core.Static_schedule
 module Metrics = Lepts_obs.Metrics
 module Span = Lepts_obs.Span
+module Export = Lepts_obs.Export
 
 let log_src = Logs.Src.create "lepts.serve" ~doc:"scheduling service engine"
 
@@ -694,22 +695,9 @@ let pp_status ppf = function
   | Expired -> Format.pp_print_string ppf "expired"
   | Drained -> Format.pp_print_string ppf "drained"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let outcome_json (o : outcome) =
   let b = Buffer.create 96 in
-  Buffer.add_string b (Printf.sprintf "{\"id\":\"%s\"" (json_escape o.id));
+  Buffer.add_string b (Printf.sprintf "{\"id\":\"%s\"" (Export.json_escape o.id));
   (match o.status with
   | Done { stage; mean_energy } ->
     Buffer.add_string b (Printf.sprintf ",\"status\":\"done\",\"stage\":\"%s\"" stage);
@@ -718,10 +706,12 @@ let outcome_json (o : outcome) =
       mean_energy
   | Failed msg ->
     Buffer.add_string b
-      (Printf.sprintf ",\"status\":\"failed\",\"reason\":\"%s\"" (json_escape msg))
+      (Printf.sprintf ",\"status\":\"failed\",\"reason\":\"%s\""
+         (Export.json_escape msg))
   | Rejected msg ->
     Buffer.add_string b
-      (Printf.sprintf ",\"status\":\"rejected\",\"reason\":\"%s\"" (json_escape msg))
+      (Printf.sprintf ",\"status\":\"rejected\",\"reason\":\"%s\""
+         (Export.json_escape msg))
   | Shed -> Buffer.add_string b ",\"status\":\"shed\""
   | Expired -> Buffer.add_string b ",\"status\":\"expired\""
   | Drained -> Buffer.add_string b ",\"status\":\"drained\"");

@@ -28,7 +28,7 @@
     interval — the invariant {!Lepts_task.Task.create} enforces — so a
     committed estimate always yields a valid task set and a plan
     structurally identical to the original ({!plan_with_acecs}), which
-    is precisely the cheap [solve_warm] path of
+    is precisely the cheap warm-continuation path of
     [Solver.resolve_incremental].
 
     {2 Determinism contract}

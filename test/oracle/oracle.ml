@@ -59,6 +59,123 @@ let project (plan : Plan.t) ~scale ~hyper (z : float array) =
     z.(k) <- Lepts_util.Num_ext.clamp ~lo:0. ~hi:hyper z.(k)
   done
 
+(* --- Allocating objective ------------------------------------------------ *)
+
+(* The reference {!Lepts_core.Objective.eval_ws} and
+   {!Lepts_core.Objective.eval_with_gradient_ws} must reproduce bit for
+   bit: the same recurrence over freshly allocated intermediates. The
+   energy is the allocating recording sweep's,
+   {!Lepts_core.Objective.trace}. *)
+
+let eval ~plan ~power ~totals ~e ~w_hat =
+  (Objective.trace ~plan ~power ~totals ~e ~w_hat).Objective.energy
+
+let skip_eps = 1e-12
+let window_floor = 1e-12
+
+(* Waterfall split of the actual instance workloads onto sub-instances,
+   indexed by total-order position. *)
+let split_workloads (plan : Plan.t) ~totals ~w_hat =
+  let w = Array.make (Array.length plan.Plan.order) 0. in
+  Array.iteri
+    (fun i per_instance ->
+      Array.iteri
+        (fun j idxs ->
+          let quotas = Array.map (fun k -> w_hat.(k)) idxs in
+          let dist = Lepts_core.Waterfall.distribute ~quotas ~total:totals.(i).(j) in
+          Array.iteri (fun pos k -> w.(k) <- dist.(pos)) idxs)
+        per_instance)
+    plan.Plan.instance_subs;
+  w
+
+(* One dispatched step of the forward recurrence, with the branch
+   choices needed to replay it backwards. *)
+type step = {
+  k : int;
+  d : float;  (** guarded window *)
+  v : float;
+  w : float;  (** executed workload *)
+  wq : float;  (** worst-case quota *)
+  clamped : bool;  (** voltage clamped (at either end of the range) *)
+  guarded : bool;  (** window floored *)
+  s_from_finish : bool;  (** start = previous finish (vs release) *)
+}
+
+let eval_with_gradient ~(plan : Plan.t) ~power ~totals ~e ~w_hat =
+  let c0 =
+    match power.Model.delay with
+    | Model.Ideal { c0 } -> c0
+    | Model.Alpha _ ->
+      invalid_arg "Oracle.eval_with_gradient: analytic adjoint requires ideal delay"
+  in
+  let m = Array.length plan.Plan.order in
+  let w_hat = Array.map (fun q -> Float.max 0. q) w_hat in
+  let w = split_workloads plan ~totals ~w_hat in
+  (* Forward sweep, recording branches. *)
+  let steps = ref [] in
+  let finish = ref 0. and energy = ref 0. in
+  for k = 0 to m - 1 do
+    let sub = plan.Plan.order.(k) in
+    if w.(k) > skip_eps then begin
+      let s_from_finish = !finish >= sub.Sub.release in
+      let s = if s_from_finish then !finish else sub.Sub.release in
+      let d_raw = e.(k) -. s in
+      let guarded = d_raw < window_floor in
+      let d = if guarded then window_floor else d_raw in
+      let v_raw = c0 *. w_hat.(k) /. d in
+      let clamped = v_raw <= power.Model.v_min || v_raw > power.Model.v_max in
+      let v =
+        Lepts_util.Num_ext.clamp ~lo:power.Model.v_min ~hi:power.Model.v_max v_raw
+      in
+      energy := !energy +. (power.Model.c_eff *. v *. v *. w.(k));
+      finish := s +. (w.(k) *. c0 /. v);
+      steps :=
+        { k; d; v; w = w.(k); wq = w_hat.(k); clamped; guarded; s_from_finish }
+        :: !steps
+    end
+  done;
+  (* Backward (adjoint) sweep over the dispatched steps, most recent
+     first. [phi] is the adjoint of the running finish time. *)
+  let de = Array.make m 0. and dwq = Array.make m 0. in
+  let dw = Array.make m 0. in
+  let phi = ref 0. in
+  List.iter
+    (fun st ->
+      let sigma = ref !phi in
+      (* finish = s + w c0 / v ; E += c_eff v^2 w *)
+      let alpha =
+        (2. *. power.Model.c_eff *. st.w *. st.v) -. (!phi *. st.w *. c0 /. (st.v *. st.v))
+      in
+      let beta = (power.Model.c_eff *. st.v *. st.v) +. (!phi *. c0 /. st.v) in
+      if not st.clamped then begin
+        (* v = c0 wq / d *)
+        dwq.(st.k) <- dwq.(st.k) +. (alpha *. c0 /. st.d);
+        if not st.guarded then begin
+          let delta = -.alpha *. c0 *. st.wq /. (st.d *. st.d) in
+          de.(st.k) <- de.(st.k) +. delta;
+          sigma := !sigma -. delta
+        end
+      end;
+      dw.(st.k) <- dw.(st.k) +. beta;
+      phi := if st.s_from_finish then !sigma else 0.)
+    !steps;
+  (* Waterfall vector-Jacobian products per instance. *)
+  Array.iteri
+    (fun i per_instance ->
+      Array.iteri
+        (fun j idxs ->
+          let quotas = Array.map (fun k -> w_hat.(k)) idxs in
+          let adjoint = Array.map (fun k -> dw.(k)) idxs in
+          let back =
+            Lepts_core.Waterfall.backward ~quotas ~total:totals.(i).(j) ~adjoint
+          in
+          Array.iteri (fun pos k -> dwq.(k) <- dwq.(k) +. back.(pos)) idxs)
+        per_instance)
+    plan.Plan.instance_subs;
+  (!energy, de, dwq)
+
+(* --- Solver -------------------------------------------------------------- *)
+
 type sweep = {
   q : float array;  (** quotas, [z_k / t_max] *)
   e : float array;
@@ -91,7 +208,7 @@ let forward (plan : Plan.t) ~t_max (z : float array) =
 
 let mean_energy ~plan ~power ~totals_list ~e ~q =
   List.fold_left
-    (fun acc totals -> acc +. Objective.eval ~plan ~power ~totals ~e ~w_hat:q)
+    (fun acc totals -> acc +. eval ~plan ~power ~totals ~e ~w_hat:q)
     0. totals_list
   /. float_of_int (List.length totals_list)
 
@@ -130,7 +247,7 @@ let solve_from ~max_outer ~max_inner ~totals_list ~(plan : Plan.t) ~power ~y0 =
       List.iter
         (fun totals ->
           let (_ : float), de_i, dq_i =
-            Objective.eval_with_gradient ~plan ~power ~totals ~e:sw.e ~w_hat:sw.q
+            eval_with_gradient ~plan ~power ~totals ~e:sw.e ~w_hat:sw.q
           in
           for k = 0 to m - 1 do
             de.(k) <- de.(k) +. (de_i.(k) /. scenario_count);
@@ -251,7 +368,7 @@ let quota_sums_match ~(plan : Plan.t) (q : float array) =
     plan.Plan.instance_subs;
   !ok
 
-let solve_warm ?(max_outer = 30) ?(max_inner = 2000) ?(improvement_rel = 1e-6) ~mode
+let solve_warm ?(max_outer = 30) ?(max_inner = 2000) ~mode
     ~(prev : Static_schedule.t) ~(plan : Plan.t) ~power () =
   let m = Array.length plan.Plan.order in
   if Array.length prev.Static_schedule.quotas <> m then
@@ -293,7 +410,7 @@ let solve_warm ?(max_outer = 30) ?(max_inner = 2000) ?(improvement_rel = 1e-6) ~
   | Ok (_, bstats), Ok (_, cstats)
     when cstats.Solver.objective
          >= bstats.Solver.objective
-            -. (improvement_rel *. Float.abs bstats.Solver.objective) ->
+            -. (1e-6 *. Float.abs bstats.Solver.objective) ->
     baseline
   | _, Ok result -> Ok result
   | Ok _, Error _ -> baseline

@@ -4,15 +4,15 @@ let check_float = Alcotest.(check (float 1e-9))
 let vec = Alcotest.(array (float 1e-9))
 
 let test_vec_basics () =
-  Alcotest.check vec "axpy" [| 5.; 8. |] (Vec.axpy 2. [| 1.; 2. |] [| 3.; 4. |]);
   check_float "dot" 11. (Vec.dot [| 1.; 2. |] [| 3.; 4. |]);
   check_float "norm2" 5. (Vec.norm2 [| 3.; 4. |]);
   check_float "norm_inf" 4. (Vec.norm_inf [| 3.; -4. |])
 
 let test_vec_axpy_ip () =
-  let y = [| 3.; 4. |] in
-  Vec.axpy_ip 2. [| 1.; 2. |] ~into:y;
-  Alcotest.check vec "in place" [| 5.; 8. |] y
+  (* In place over the scaled operand: [x <- a*x + y]. *)
+  let x = [| 1.; 2. |] in
+  Vec.axpy_into 2. x [| 3.; 4. |] ~into:x;
+  Alcotest.check vec "in place" [| 5.; 8. |] x
 
 let test_vec_mismatch () =
   Alcotest.check_raises "dot mismatch"

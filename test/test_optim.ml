@@ -21,6 +21,9 @@ let rosenbrock_grad x =
 
 let quadratic_bowl c x = Vec.dot (sub x c) (sub x c)
 
+(* Componentwise clamp onto [lo, hi]. *)
+let box ~lo ~hi x = Array.mapi (fun i v -> Float.min hi.(i) (Float.max lo.(i) v)) x
+
 (* --- Numdiff ------------------------------------------------------------ *)
 
 let test_numdiff_quadratic () =
@@ -41,12 +44,6 @@ let test_numdiff_does_not_mutate () =
   let copy = Array.copy x in
   ignore (Numdiff.gradient ~f:sphere x);
   Alcotest.(check bool) "input intact" true (x = copy)
-
-let test_directional () =
-  let x = [| 1.; 1. |] in
-  let d = Numdiff.directional ~f:sphere x ~dir:[| 1.; 0. |] in
-  check_float 1e-5 "directional" 2. d;
-  check_float 0. "zero direction" 0. (Numdiff.directional ~f:sphere x ~dir:[| 0.; 0. |])
 
 (* --- Non-finite guards --------------------------------------------------- *)
 
@@ -87,11 +84,6 @@ let test_guard_passes_finite () =
 
 (* --- Projections -------------------------------------------------------- *)
 
-let test_box_projection () =
-  let p = Projection.box ~lo:[| 0.; 0. |] ~hi:[| 1.; 2. |] [| -1.; 5. |] in
-  Alcotest.(check (float 0.)) "clamped low" 0. p.(0);
-  Alcotest.(check (float 0.)) "clamped high" 2. p.(1)
-
 let simplex_sum x = Array.fold_left ( +. ) 0. x
 
 let test_simplex_projection_basic () =
@@ -124,15 +116,6 @@ let test_simplex_projection_property () =
     if inner > 1e-7 then Alcotest.failf "not a projection: %g" inner
   done
 
-let test_blocks_projection () =
-  let proj = Projection.blocks
-      [| Projection.simplex ~total:1.; (fun s -> Array.map (Float.max 0.) s) |]
-      ~offsets:[| (0, 2); (2, 2) |] in
-  let p = proj [| 3.; 0.; -1.; 4. |] in
-  check_float 1e-9 "simplex block" 1. (p.(0) +. p.(1));
-  Alcotest.(check (float 0.)) "box block" 0. p.(2);
-  Alcotest.(check (float 0.)) "untouched" 4. p.(3)
-
 (* --- Projected gradient -------------------------------------------------- *)
 
 let test_pg_unconstrained () =
@@ -146,7 +129,7 @@ let test_pg_box_active () =
   (* min (x-3)^2 over [0, 1]: solution at the bound x = 1. *)
   let f x = (x.(0) -. 3.) ** 2. in
   let grad x = [| 2. *. (x.(0) -. 3.) |] in
-  let project = Projection.box ~lo:[| 0. |] ~hi:[| 1. |] in
+  let project = box ~lo:[| 0. |] ~hi:[| 1. |] in
   let r = Projected_gradient.minimize ~f ~grad ~project ~x0:[| 0. |] () in
   check_float 1e-8 "active bound" 1. r.Projected_gradient.x.(0)
 
@@ -164,7 +147,7 @@ let test_pg_simplex () =
 let test_pg_infeasible_start () =
   let f x = Vec.dot x x in
   let grad x = scale 2. x in
-  let project = Projection.box ~lo:[| 1.; 1. |] ~hi:[| 2.; 2. |] in
+  let project = box ~lo:[| 1.; 1. |] ~hi:[| 2.; 2. |] in
   let r = Projected_gradient.minimize ~f ~grad ~project ~x0:[| -10.; 10. |] () in
   Alcotest.(check bool) "lands at corner" true
     (dist2 r.Projected_gradient.x [| 1.; 1. |] < 1e-7)
@@ -174,7 +157,8 @@ let test_pg_infeasible_start () =
 let test_linear_constraint () =
   let c = Nlp.linear_constraint ~name:"test" ~coeffs:[ (0, 2.); (2, -1.) ] ~bound:3. in
   check_float 1e-12 "value" (-1.) (c.Nlp.value [| 1.; 9.; 0. |]);
-  let g = Nlp.constraint_gradient c [| 0.; 0.; 0. |] in
+  let g = Array.make 3 0. in
+  c.Nlp.add_gradient ~x:[| 0.; 0.; 0. |] ~scale:1. ~into:g;
   Alcotest.(check bool) "gradient" true (g = [| 2.; 0.; -1. |])
 
 let test_al_equality_via_projection () =
@@ -235,8 +219,10 @@ let test_nlp_max_violation () =
   (* Feasible region: 2 <= x <= 5. *)
   let c1 = Nlp.linear_constraint ~name:"lb" ~coeffs:[ (0, -1.) ] ~bound:(-2.) in
   let c2 = Nlp.linear_constraint ~name:"ub" ~coeffs:[ (0, 1.) ] ~bound:5. in
-  let p = Nlp.with_numerical_gradient ~dim:1 ~objective:(fun _ -> 0.)
-      ~inequalities:[ c1; c2 ] () in
+  let p =
+    { Nlp.dim = 1; objective = (fun _ -> 0.); gradient = (fun _ -> [| 0. |]);
+      inequalities = [ c1; c2 ]; project = Fun.id }
+  in
   check_float 1e-12 "violated by 1" 1. (Nlp.max_violation p [| 1. |]);
   check_float 1e-12 "feasible" 0. (Nlp.max_violation p [| 2.5 |]);
   check_float 1e-12 "upper violated" 2. (Nlp.max_violation p [| 7. |])
@@ -310,16 +296,13 @@ let suite =
   [ ("numdiff quadratic", `Quick, test_numdiff_quadratic);
     ("numdiff rosenbrock", `Quick, test_numdiff_rosenbrock);
     ("numdiff purity", `Quick, test_numdiff_does_not_mutate);
-    ("directional derivative", `Quick, test_directional);
     ("numdiff nan guard", `Quick, test_numdiff_guards_nan);
     ("pg nan objective guard", `Quick, test_pg_guards_nan_at_start);
     ("pg nan gradient guard", `Quick, test_pg_guards_nan_gradient);
     ("guard finite passthrough", `Quick, test_guard_passes_finite);
-    ("box projection", `Quick, test_box_projection);
     ("simplex projection basic", `Quick, test_simplex_projection_basic);
     ("simplex projection negatives", `Quick, test_simplex_projection_negative);
     ("simplex projection optimality", `Quick, test_simplex_projection_property);
-    ("block projection", `Quick, test_blocks_projection);
     ("pg unconstrained", `Quick, test_pg_unconstrained);
     ("pg active box", `Quick, test_pg_box_active);
     ("pg simplex", `Quick, test_pg_simplex);

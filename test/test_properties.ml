@@ -176,11 +176,11 @@ let random_seed rng =
   | _ -> Int64.to_int (Rng.next_int64 rng)
 
 (* Random requests covering the whole wire surface: ids that need every
-   escape, defaulted and explicit fields, seeds across the [int] range,
-   and ratios chosen to lose bits under a naive float printer
-   (0.1 +. 0.2, 1/3, random draws). *)
+   escape (control bytes included), defaulted and explicit fields,
+   seeds across the [int] range, and ratios chosen to lose bits under a
+   naive float printer (0.1 +. 0.2, 1/3, random draws). *)
 let random_request rng =
-  let alphabet = "abcXYZ09 _-./\\\"\n\t" in
+  let alphabet = "abcXYZ09 _-./\\\"\n\t\r\000\001\008\011\012\031\127" in
   let id =
     let n = 1 + Rng.int rng ~bound:12 in
     String.init n (fun _ ->
@@ -207,7 +207,11 @@ let test_request_json_roundtrip () =
   let rng = Rng.create ~seed:77 in
   for _ = 1 to 500 do
     let r = random_request rng in
-    match Request.of_json (Request.to_json r) with
+    let line = Request.to_json r in
+    (* JSON admits no raw control byte inside a string. *)
+    if not (String.for_all (fun c -> Char.code c >= 0x20) line) then
+      Alcotest.failf "raw control byte in %S" line;
+    match Request.of_json line with
     | Ok r' ->
       if r' <> r then
         Alcotest.failf "round-trip mutated %s into %s" (Request.to_json r)

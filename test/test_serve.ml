@@ -152,6 +152,26 @@ let test_request_rejections_name_the_field () =
       ({|{"id": "x"} trailing|}, "trailing");
       ({|not json at all|}, "expected") ]
 
+let test_request_string_escapes () =
+  (* The escapes the JSON writer emits decode ([\r], and [\u00XX] for
+     control bytes), as does any other [\uXXXX]; surrogate halves are
+     refused. *)
+  (match
+     Request.of_json {|{"id": "a\u0001\u000B\r\/\u00e9\u20ac"}|}
+   with
+  | Error msg -> Alcotest.failf "escapes rejected: %s" msg
+  | Ok r ->
+    Alcotest.(check string) "decoded id" "a\001\011\r/\xc3\xa9\xe2\x82\xac"
+      r.Request.id);
+  List.iter
+    (fun line ->
+      match Request.of_json line with
+      | Ok _ -> Alcotest.failf "accepted %s" line
+      | Error msg ->
+        if not (contains ~sub:"\\u" msg) then
+          Alcotest.failf "%s: reason %S does not name the escape" line msg)
+    [ {|{"id": "\u12"}|}; {|{"id": "\u12g4"}|}; {|{"id": "\ud83d\ude00"}|} ]
+
 (* --- service engine -------------------------------------------------------- *)
 
 let power = Model.ideal ~v_min:0.5 ~v_max:4. ()
@@ -165,6 +185,28 @@ let stage_of o =
   match o.Service.status with
   | Service.Done { stage; _ } -> stage
   | _ -> "?"
+
+let test_report_lines_escape_control_bytes () =
+  (* An id with byte 0x01 and a rejected line with byte 0x0b: both are
+     echoed in the report, which must stay one valid JSON object per
+     line, so no raw byte below 0x20 may reach it. *)
+  let lines = [ "{\"id\": \"ctl-\001-id\"}"; "{\"id\": \"x\"\011}" ] in
+  let r = Service.run ~config:quick_config ~power ~lines () in
+  let file = Filename.temp_file "lepts-report" ".ndjson" in
+  Out_channel.with_open_bin file (fun oc -> Service.print_report ~oc r);
+  let report = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  let lines = String.split_on_char '\n' (String.trim report) in
+  Alcotest.(check int) "two outcomes and a summary" 3 (List.length lines);
+  List.iter
+    (fun line ->
+      if not (String.for_all (fun c -> Char.code c >= 0x20) line) then
+        Alcotest.failf "raw control byte in report line %S" line)
+    lines;
+  Alcotest.(check bool) "id escaped" true
+    (contains ~sub:{|"id":"ctl-\u0001-id"|} report);
+  Alcotest.(check bool) "rejection reason escaped" true
+    (contains ~sub:{|found '\u000b'|} report)
 
 let test_service_breaker_sequence () =
   (* End-to-end acceptance: injected ACS faults (acs_max_outer = 0)
@@ -477,6 +519,9 @@ let suite =
     ("breaker config validated", `Quick, test_breaker_rejects_bad_config);
     ("request defaults", `Quick, test_request_defaults);
     ("request round-trip", `Quick, test_request_roundtrip);
+    ("request string escapes", `Quick, test_request_string_escapes);
+    ("report lines escape control bytes", `Quick,
+     test_report_lines_escape_control_bytes);
     ("request rejections name the field", `Quick,
      test_request_rejections_name_the_field);
     ("service breaker sequence", `Quick, test_service_breaker_sequence);

@@ -110,9 +110,11 @@ let test_quota_sums () =
     (fun i per_instance ->
       let wcec = (Task_set.task ts i).Task.wcec in
       Array.iteri
-        (fun j _ ->
+        (fun _ idxs ->
           Alcotest.(check (float 1e-6)) "quota sum = WCEC" wcec
-            (Static_schedule.quota_of_instance acs ~task:i ~instance:j))
+            (Array.fold_left
+               (fun acc k -> acc +. acs.Static_schedule.quotas.(k))
+               0. idxs))
         per_instance)
     plan.Plan.instance_subs
 

@@ -192,7 +192,7 @@ let test_warm_fast_matches_warm_exact () =
   in
   let fast, fast_stats =
     Result.get_ok
-      (Solver.solve_warm ~mode:Objective.Average ~prev:wcs ~plan ~power ())
+      (Solver.resolve_incremental ~mode:Objective.Average ~prev:wcs ~plan ~power ())
   in
   (* The continuation ran: a kept seed would not exercise the
      re-projection or the descent. *)

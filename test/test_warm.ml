@@ -1,5 +1,5 @@
-(* Warm-start continuation and incremental re-solve (Solver.solve_warm /
-   Solver.resolve_incremental): bit-identity on converged instances,
+(* Warm-start continuation and incremental re-solve
+   (Solver.resolve_incremental): bit-identity on converged instances,
    never-worse under exhausted budgets, and the structural fallbacks. *)
 
 open Lepts_core
@@ -52,7 +52,7 @@ let solve_cold ?jobs ~mode plan =
 
 let test_warm_converged_bit_identical () =
   (* Drive an instance to the warm fixpoint (each accepted continuation
-     must improve by > improvement_rel, so this terminates), then check
+     must improve by more than 1e-6 relative, so this terminates), then check
      that re-solving the converged instance returns the previous
      schedule bit for bit, with outer = inner = 0 marking "seed kept". *)
   let plan = Plan.expand (preemptive_ts ()) in
@@ -63,7 +63,8 @@ let test_warm_converged_bit_identical () =
       for _ = 1 to 10 do
         if not !converged then begin
           let next, stats =
-            Result.get_ok (Solver.solve_warm ~mode ~prev:!prev ~plan ~power ())
+            Result.get_ok
+              (Solver.resolve_incremental ~mode ~prev:!prev ~plan ~power ())
           in
           if stats.Solver.outer_iterations = 0 then converged := true;
           prev := next
@@ -71,7 +72,8 @@ let test_warm_converged_bit_identical () =
       done;
       Alcotest.(check bool) "reached the warm fixpoint" true !converged;
       let warm, stats =
-        Result.get_ok (Solver.solve_warm ~mode ~prev:!prev ~plan ~power ())
+        Result.get_ok
+          (Solver.resolve_incremental ~mode ~prev:!prev ~plan ~power ())
       in
       check_schedule_bits "warm = prev" !prev warm;
       Alcotest.(check int) "outer = 0 (seed kept)" 0 stats.Solver.outer_iterations;
@@ -89,7 +91,8 @@ let test_warm_never_worse_than_seed () =
   in
   let warm, stats =
     Result.get_ok
-      (Solver.solve_warm ~mode:Objective.Average ~prev:wcs ~plan ~power ())
+      (Solver.resolve_incremental ~mode:Objective.Average ~prev:wcs ~plan
+         ~power ())
   in
   Alcotest.(check bool) "feasible" true (Validate.is_feasible warm);
   Alcotest.(check bool) "never worse than seed" true
@@ -102,8 +105,8 @@ let test_warm_exhausted_budget_returns_seed () =
   let prev, _ = solve_cold ~mode:Objective.Average plan in
   let warm, stats =
     Result.get_ok
-      (Solver.solve_warm ~wall_budget:0. ~mode:Objective.Average ~prev ~plan
-         ~power ())
+      (Solver.resolve_incremental ~wall_budget:0. ~mode:Objective.Average ~prev
+         ~plan ~power ())
   in
   check_schedule_bits "seed returned" prev warm;
   Alcotest.(check bool) "never worse" true
@@ -117,13 +120,13 @@ let test_warm_jobs_independent () =
   let wcs, _ = Result.get_ok (Solver.solve_wcs ~plan ~power ()) in
   let w1, s1 =
     Result.get_ok
-      (Solver.solve_warm ~jobs:1 ~mode:Objective.Average ~prev:wcs ~plan
-         ~power ())
+      (Solver.resolve_incremental ~jobs:1 ~mode:Objective.Average ~prev:wcs
+         ~plan ~power ())
   in
   let w4, s4 =
     Result.get_ok
-      (Solver.solve_warm ~jobs:4 ~mode:Objective.Average ~prev:wcs ~plan
-         ~power ())
+      (Solver.resolve_incremental ~jobs:4 ~mode:Objective.Average ~prev:wcs
+         ~plan ~power ())
   in
   check_schedule_bits "jobs 1 = jobs 4" w1 w4;
   Alcotest.(check int64) "objective bits" (Int64.bits_of_float s1.Solver.objective)
@@ -209,6 +212,72 @@ let test_continuation_sweep () =
         <= c.Continuation.predicted_energy *. 1.05 +. 1e-9))
     cold.Continuation.points warm.Continuation.points
 
+(* --- The start loop every solve shares ------------------------------------ *)
+
+module Metrics = Lepts_obs.Metrics
+
+(* Deltas of the solver's [Metrics.default] counters across [f ()]. *)
+let solver_counts f =
+  let get name =
+    Metrics.counter_value (Metrics.counter Metrics.default ("lepts_solver_" ^ name))
+  in
+  let read () = (get "solves_total", get "starts_total", get "start_failures_total") in
+  let s0, t0, f0 = read () in
+  let result = f () in
+  let s1, t1, f1 = read () in
+  (result, (s1 - s0, t1 - t0, f1 - f0))
+
+let counts = Alcotest.(triple int int int)
+
+let test_start_accounting () =
+  (* Cold and warm solves share one start loop, which counts one solve
+     and one start per seed: the greedy and ALAP seeds cold, the
+     re-projected previous solution warm. *)
+  let plan = Plan.expand (Lepts_workloads.Cnc.task_set ~power ~ratio:0.1 ()) in
+  let cold, cold_counts =
+    solver_counts (fun () -> Solver.solve_acs ~plan ~power ())
+  in
+  Alcotest.check counts "cold: solves, starts, failures" (1, 2, 0) cold_counts;
+  let prev, _ = Result.get_ok cold in
+  let warm, warm_counts =
+    solver_counts (fun () ->
+        Solver.resolve_incremental ~mode:Objective.Average ~prev ~plan ~power ())
+  in
+  Alcotest.(check bool) "warm solve succeeded" true (Result.is_ok warm);
+  Alcotest.check counts "warm: solves, starts, failures" (1, 1, 0) warm_counts
+
+let test_start_error_texts () =
+  let error_text = function
+    | Ok _ -> Alcotest.fail "expected the solve to fail"
+    | Error e -> Format.asprintf "%a" Solver.pp_error e
+  in
+  let plan = Plan.expand (preemptive_ts ()) in
+  (* An infinite switched capacitance makes every objective evaluation
+     non-finite, so both cold starts abort. *)
+  let infinite = Model.ideal ~c_eff:infinity ~v_min:0.5 ~v_max:4. () in
+  let cold, cold_counts =
+    solver_counts (fun () -> Solver.solve_acs ~plan ~power:infinite ())
+  in
+  Alcotest.(check string) "cold: every start failed"
+    "NLP solver stalled: no start point produced a feasible schedule: last \
+     failure: non-finite evaluation (objective at x0 is infinity)"
+    (error_text cold);
+  Alcotest.check counts "cold failures counted" (1, 2, 2) cold_counts;
+  (* A processor four times slower cannot fit the previous schedule's
+     quotas: the repaired seed and the continuation's repair both fail. *)
+  let prev, _ = solve_cold ~mode:Objective.Average plan in
+  let slow = Model.ideal ~v_min:0.5 ~v_max:1. () in
+  let warm, warm_counts =
+    solver_counts (fun () ->
+        Solver.resolve_incremental ~mode:Objective.Average ~prev ~plan ~power:slow
+          ())
+  in
+  Alcotest.(check string) "warm: seed and continuation failed"
+    "NLP solver stalled: no start point produced a feasible schedule: last \
+     failure: repair could not place all workload"
+    (error_text warm);
+  Alcotest.check counts "warm failure counted" (1, 1, 1) warm_counts
+
 let suite =
   [ ("warm re-solve of converged instance is bit-identical", `Quick,
      test_warm_converged_bit_identical);
@@ -220,4 +289,6 @@ let suite =
      test_resolve_incremental_acec_change);
     ("incremental re-solve structural fallback", `Quick,
      test_resolve_incremental_structural_fallback);
-    ("continuation ratio sweep", `Quick, test_continuation_sweep) ]
+    ("continuation ratio sweep", `Quick, test_continuation_sweep);
+    ("start accounting, cold and warm", `Quick, test_start_accounting);
+    ("all-starts-failed error texts", `Quick, test_start_error_texts) ]
